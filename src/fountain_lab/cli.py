@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import CSV_FLOAT, __version__
 from .asymptotics import r_of_z, s_of_r
 from .degree_dist import (
     DegreeDistribution,
@@ -31,7 +31,8 @@ from .degree_dist import (
 from .lp_bounds import dual_outer_bound, outer_bound_curve
 from .sim_harness import SimulationConfig, sweep, write_result_csv
 
-CSV_FLOAT = "%.9g"
+# most rates one `analyze --r-range` may list
+MAX_R_VALUES = 10**6
 
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,16 +92,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rs = list(args.r or [])
     if args.r_range is not None:
         start, stop, step = args.r_range
+        if not all(math.isfinite(v) for v in args.r_range):
+            raise ValueError("r-range values must be finite")
         if step <= 0:
             raise ValueError("r-range step must be positive")
+        if (stop - start) / step > MAX_R_VALUES or stop + step == stop:
+            raise ValueError(f"r-range gives more than {MAX_R_VALUES} values")
         v = start
         while v <= stop + 1e-12:
             rs.append(v)
             v += step
     if not rs:
         raise ValueError("no r values given")
-    if any(r < 0 for r in rs):
-        raise ValueError("r values must be >= 0")
+    if not all(math.isfinite(r) and r >= 0 for r in rs):
+        raise ValueError("r values must be finite and >= 0")
     out, close = _open_out(args.output)
     try:
         out.write(f"# fountain-lab {__version__} analyze\n")

@@ -27,6 +27,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import CSV_FLOAT
 from .degree_dist import DegreeDistribution, max_useful_degree
 
 PIVOT_TOL = 1e-9
@@ -37,8 +38,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
-
-CSV_FLOAT = "%.9g"
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSoluti
                 )
                 if bad:
                     raise RuntimeError(
-                        f"internal error: reported optimum violates row {i} by {residual[i]!r}"
+                        f"reported optimum violates row {i} by {float(residual[i])!r}"
                     )
         return LpSolution(
             status=status,
@@ -377,7 +376,7 @@ def primal_min_r(
         ratio = np.where(deriv > 0.0, needed / np.maximum(deriv, 1e-300), np.inf)
     factor = max(1.0, float(ratio.max())) if fine.size else 1.0
     if not math.isfinite(factor):
-        raise RuntimeError("internal error: rate LP produced an empty design")
+        raise RuntimeError("rate LP produced an empty design")
     a = a * factor
     r = float(a.sum())
     masses = {int(i): float(a[i - 1] / r) for i in degrees if a[i - 1] / r > 1e-15}

@@ -7,18 +7,22 @@ one, recover its remaining input, and cancel that input out of every other
 symbol containing it; stop when no degree-one symbols remain.
 
 Randomness is a SplitMix64 stream per output symbol: symbol i draws from
-SplitMix64 seeded with mix64(seed + (i+1) * 0x9E3779B97F4A7C15). The stream
-split makes encoding reproducible for a given seed and embarrassingly
-parallel across symbols. Degrees come from inverse-CDF sampling; subsets from
-a partial Fisher-Yates shuffle with rejection-sampled (exactly uniform)
-index draws.
+SplitMix64 seeded with seed_i = mix64(seed + (i+1) * gamma), gamma =
+0x9E3779B97F4A7C15. The stream split makes encoding reproducible for a given
+seed and embarrassingly parallel across symbols. Degrees come from
+inverse-CDF sampling; subsets from a partial Fisher-Yates shuffle with
+rejection-sampled (exactly uniform) index draws. SplitMix64 is counter-based
+(draw t of symbol i is mix64(seed_i + t * gamma)), so `sample_graph` computes
+the draws of a whole block of symbols as one numpy uint64 expression.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .degree_dist import DegreeDistribution
 
@@ -101,14 +105,162 @@ def xor_payload(inputs: Sequence[bytes], neighbors: Iterable[int]) -> bytes:
     return acc.to_bytes(size, "big")
 
 
-def _degree_cdf(dist: DegreeDistribution) -> tuple[list[float], list[int]]:
-    cdf: list[float] = []
-    acc = 0.0
-    for _, m in dist.entries:
-        acc += m
-        cdf.append(acc)
+def _degree_cdf(dist: DegreeDistribution) -> np.ndarray:
+    """Running sum of the masses in entry order, the last set to 1.0."""
+    cdf = np.add.accumulate(dist.mass_array)  # sums left to right
     cdf[-1] = 1.0
-    return cdf, [d for d, _ in dist.entries]
+    return cdf
+
+
+# symbols per numpy pass; a block's temporaries, a dozen arrays over its
+# edges, stay small beside the symbols themselves. Running sums use
+# np.add.accumulate: np.cumsum (numpy 2.4) leaves small objects alive from
+# call to call, and those kept freed trial memory from going back to the OS.
+_BLOCK = 1024
+_KEY_LIMIT = (1 << 63) - 1
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array, in place (numpy wraps uint64 arithmetic)."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _rejected(draws: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Draws that SplitMix64.randbelow(m) rejects: x >= 2**64 - (2**64 mod m)."""
+    rem = (0 - m) % m  # 2**64 mod m, in wrapping uint64 arithmetic
+    return (rem != 0) & (draws >= 0 - rem)
+
+
+def _fisher_yates(
+    base: np.ndarray, step: np.ndarray, pick: np.ndarray, width: int
+) -> np.ndarray:
+    """Value each partial Fisher-Yates step takes, for all rows at once.
+
+    Edge (row, step) swaps position step with position pick >= step.
+    Before step t, position p holds p itself, unless an earlier step h of
+    the same row picked p; then it holds what position h held before step h.
+    Each key packs (row, position, step) as (row*k + position)*width + step,
+    where base = row*k; one searchsorted finds, for every open chain at once,
+    the latest earlier step that picked the position asked about.
+    """
+    keys = (base + pick) * width + step
+    order = np.sort(keys)
+    value = pick.copy()
+    live = np.arange(pick.size)
+    query = keys
+    while live.size:
+        i = np.searchsorted(order, query) - 1
+        prev = order[i]
+        hit = (i >= 0) & (prev // width == query // width)
+        live = live[hit]
+        h = prev[hit] % width
+        value[live] = h
+        query = (base[live] + h) * width + h
+    return value
+
+
+def _replay_row(stream_seed: int, k: int, degree: int) -> list[int]:
+    """A row's sorted inputs drawn one at a time; for rows with a rejected draw."""
+    rng = SplitMix64(stream_seed)
+    rng.next_u64()  # draw 1 chose the degree
+    overlay: dict[int, int] = {}
+    chosen = []
+    for j in range(degree):
+        pick = j + rng.randbelow(k - j)
+        chosen.append(overlay.get(pick, pick))
+        overlay[pick] = overlay.get(j, j)
+    return sorted(chosen)
+
+
+def _sample_block(
+    cdf: np.ndarray, degrees: np.ndarray, k: int, width: int, seed: int,
+    start: int, stop: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and row-major sorted neighbors of symbols start..stop-1."""
+    gamma = np.uint64(_GOLDEN)
+    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    seeds = _mix64_array(np.uint64(seed & _MASK64) + index * gamma)
+    u = (_mix64_array(seeds + gamma) >> np.uint64(11)).astype(np.float64)
+    deg = degrees[np.searchsorted(cdf, u * (1.0 / (1 << 53)), side="left")]
+
+    row_start = np.add.accumulate(deg) - deg
+    row = np.repeat(np.arange(deg.size), deg)
+    step = np.arange(row.size) - row_start[row]
+    m = (k - step).astype(np.uint64)
+    draws = _mix64_array(seeds[row] + (step + 2).astype(np.uint64) * gamma)
+    pick = step + (draws % m).astype(np.int64)
+
+    base = row * k
+    chosen = base + _fisher_yates(base, step, pick, width)
+    chosen.sort()
+    neighbors = chosen - base
+    for r in set(row[_rejected(draws, m)].tolist()):
+        a, d = int(row_start[r]), int(deg[r])
+        neighbors[a : a + d] = _replay_row(int(seeds[r]), k, d)
+    return deg, neighbors
+
+
+def _graph_blocks(
+    dist: DegreeDistribution, k: int, n: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Checks the sizes at once; yields (degrees, neighbors) block by block."""
+    if k < 1:
+        raise ValueError("need at least one input packet")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if dist.max_degree > k:
+        raise ValueError(
+            f"distribution support (max degree {dist.max_degree}) exceeds k={k}"
+        )
+    cdf = _degree_cdf(dist)
+    width = dist.max_degree
+    # the packed (row, position, step) keys must fit in an int64
+    rows = max(1, min(_BLOCK, _KEY_LIMIT // (k * width)))
+    return (
+        _sample_block(cdf, dist.degree_array, k, width, seed, a, min(n, a + rows))
+        for a in range(0, n, rows)
+    )
+
+
+def sample_graph(
+    dist: DegreeDistribution, k: int, n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The LT graph of n coded symbols over k inputs, in CSR form.
+
+    Returns (offsets, neighbors), both int64: symbol i's inputs are
+    neighbors[offsets[i]:offsets[i+1]], sorted. Draw t of symbol i is
+    mix64(symbol_stream_seed(seed, i) + t*gamma), the t-th output of its
+    SplitMix64 stream: t = 1 picks the degree by inverse CDF, t = j+2 the
+    j-th partial Fisher-Yates index, with rejection as in randbelow. All
+    symbols of a block draw at once; the rare row with a rejected draw is
+    replayed one draw at a time. `encode` takes the same blocks one at a
+    time, so that the whole graph is never held beside its symbols.
+    """
+    degrees = [np.empty(0, dtype=np.int64)]
+    neighbors = [np.empty(0, dtype=np.int64)]
+    for deg, nb in _graph_blocks(dist, k, n, seed):
+        degrees.append(deg)
+        neighbors.append(nb)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(np.concatenate(degrees), out=offsets[1:])
+    return offsets, np.concatenate(neighbors)
+
+
+def _check_graph(offsets: np.ndarray, neighbors: np.ndarray) -> None:
+    """CodedSymbol's neighbor checks, at once over a CSR graph or block."""
+    if np.any(np.diff(offsets) < 1):
+        raise ValueError("a coded symbol needs at least one neighbor")
+    gaps = np.diff(neighbors)
+    gaps[offsets[1:-1] - 1] = 1  # a row may start below where the last ended
+    if np.any(gaps <= 0):
+        raise ValueError("neighbors must be sorted and distinct")
+    if neighbors.size and neighbors.min() < 0:
+        raise ValueError("neighbor indices must be nonnegative")
 
 
 def encode(
@@ -121,38 +273,25 @@ def encode(
     k = len(inputs)
     if k < 1:
         raise ValueError("need at least one input packet")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if dist.max_degree > k:
-        raise ValueError(
-            f"distribution support (max degree {dist.max_degree}) exceeds k={k}"
-        )
     size = len(inputs[0])
-    values = []
-    for data in inputs:
-        if len(data) != size:
-            raise ValueError("all input packets must have the same length")
-        values.append(int.from_bytes(data, "big"))
-
-    from bisect import bisect_left
-
-    cdf, degrees = _degree_cdf(dist)
-    symbols: list[CodedSymbol] = []
-    for i in range(n):
-        rng = SplitMix64(symbol_stream_seed(rng_seed, i))
-        d = degrees[bisect_left(cdf, rng.random())]
-        # partial Fisher-Yates over an implicit identity array
-        overlay: dict[int, int] = {}
-        chosen: list[int] = []
-        acc = 0
-        for j in range(d):
-            pick = j + rng.randbelow(k - j)
-            val = overlay.get(pick, pick)
-            overlay[pick] = overlay.get(j, j)
-            chosen.append(val)
-            acc ^= values[val]
-        chosen.sort()
-        symbols.append(CodedSymbol(tuple(chosen), acc.to_bytes(size, "big")))
+    if any(len(data) != size for data in inputs):
+        raise ValueError("all input packets must have the same length")
+    blocks = _graph_blocks(dist, k, n, rng_seed)
+    data = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(k, size)
+    symbols = []
+    new, setattr_ = object.__new__, object.__setattr__
+    for deg, block in blocks:
+        bounds = np.zeros(deg.size + 1, dtype=np.int64)
+        np.add.accumulate(deg, out=bounds[1:])
+        _check_graph(bounds, block)
+        payload = np.bitwise_xor.reduceat(data[block], bounds[:-1], axis=0).tobytes()
+        nbrs, bounds = block.tolist(), bounds.tolist()
+        for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
+            # _check_graph has checked every row: set the frozen fields directly
+            sym = new(CodedSymbol)
+            setattr_(sym, "neighbors", tuple(nbrs[first:end]))
+            setattr_(sym, "payload", payload[i * size : (i + 1) * size])
+            symbols.append(sym)
     return symbols
 
 

@@ -23,14 +23,16 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import CSV_FLOAT, __version__
 from .asymptotics import s_of_r
 from .degree_dist import DegreeDistribution
 from .lt_codec import decode, encode, mix64
 
 RECEIVE_MODELS = ("deterministic_n", "poisson_n")
 
-CSV_FLOAT = "%.9g"
+# cap on n = r*k, the coded symbols of one trial; the encoder holds about
+# 1.3 kB per symbol at mean degree 19, so a trial at the cap takes ~1.3 GB
+MAX_SYMBOLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,14 @@ class SimulationConfig:
                 f"k={self.k} smaller than max support degree "
                 f"{self.distribution.max_degree}"
             )
-        if any(r < 0.0 for r in self.r_values):
-            raise ValueError("all r values must be >= 0")
+        for r in self.r_values:
+            if not (math.isfinite(r) and r >= 0.0):
+                raise ValueError(f"r={r!r}: r values must be finite and >= 0")
+            if r * self.k > MAX_SYMBOLS:
+                raise ValueError(
+                    f"r={r!r}: n = r*k = {r * self.k:g} coded symbols per trial, "
+                    f"above the cap of {MAX_SYMBOLS}"
+                )
         if self.receive_model not in RECEIVE_MODELS:
             raise ValueError(f"unknown receive model {self.receive_model!r}")
         if self.symbol_bytes < 1:

@@ -154,3 +154,35 @@ def test_curves_outputs(capsys, tmp_path):
     # all floats round-trip at nine significant digits
     for r in csv_rows(design):
         assert f'{float(r["r_inner"]):.9g}' == r["r_inner"]
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan", "1e300", "1e9"])
+def test_simulate_rejects_absurd_rate_before_output(capsys, tmp_path, rate):
+    out_file = tmp_path / "sim.csv"
+    code, out, err = run_cli(capsys, "simulate", "--degree1", "--k", "1000",
+                             "--r", "0.5", "--r", rate, "-o", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [["--r", "nan"], ["--r", "inf"],
+                                  ["--r-range", "0", "inf", "0.1"],
+                                  ["--r-range", "0", "1", "1e-9"],
+                                  ["--r-range", "1e17", "1e17", "1"]])
+def test_analyze_rejects_bad_rates_before_header(capsys, argv):
+    code, out, err = run_cli(capsys, "analyze", "--degree1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bound_internal_error_prefix_once(capsys):
+    # the simplex still fails at z = 0.98 (its solution drifts off row 0);
+    # the message it gives is what this test pins
+    code, _, err = run_cli(capsys, "bound", "--z", "0.98", "--grid-step", "0.005")
+    assert code in (0, 1)
+    if code == 1:
+        assert err.count("internal error:") == 1
+        assert "np.float64(" not in err

@@ -1,3 +1,5 @@
+import bisect
+import hashlib
 import io
 import itertools
 import math
@@ -18,7 +20,8 @@ from fountain_lab import (
     robust_soliton,
     write_symbols,
 )
-from fountain_lab.lt_codec import xor_payload
+from fountain_lab import lt_codec
+from fountain_lab.lt_codec import sample_graph, xor_payload
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0})
 DEG2 = DegreeDistribution.from_mapping({2: 1.0})
@@ -117,6 +120,173 @@ def test_encode_degree_marginals_match():
     for degree in (1, 2, 3):
         expected = 20_000 * dist.mass(degree)
         assert abs(got[degree] - expected) <= 5.0 * math.sqrt(expected)
+
+
+# SHA-256 of write_symbols(encode(...)) as the per-symbol scalar encoder
+# produced it: (dist, k, n, seed, payload bytes) -> digest. Inputs come from
+# golden_inputs(k, nbytes, k + n).
+GOLDEN = {
+    "k1": (DEG1, 1, 5, 7, 2,
+           "b4af8ef36a68f1cf6ba554aefb52ab43aa70b92bd25b13a5a29e07e68be8a02c"),
+    "full_permutation_k7": (
+        DegreeDistribution.from_mapping({7: 1.0}), 7, 30, 11, 1,
+        "ee3eb3e12a499aa7d2419f8beb667912467ec52c8455fa1fc92086ff37cc564e"),
+    # m = k - j runs through 64, 32, ..., 1, where no draw is ever rejected
+    "degree64_atom_k64": (
+        DegreeDistribution.from_mapping({2: 0.5, 64: 0.5}), 64, 40, 3, 2,
+        "21bc3743d06151dfdb30b551c4b14d1656413c9d5984e903c14b90dac0bf8223"),
+    "robust1000_seed_2p64_plus_17": (
+        robust_soliton(1000, 0.1, 0.5), 1000, 1200, 2**64 + 17, 3,
+        "c73cf3281043f40ea743e753d8ee2bba309bb443b4c2d4cd0287934150f1a6b1"),
+    "ideal2000_seed_2p64_minus_5": (
+        ideal_soliton(2000), 2000, 1500, 2**64 - 5, 1,
+        "58c0404701895c71d471e5ef6463c875e37f79a259159f7842e66949784adbe7"),
+    "seed_minus_1": (
+        ideal_soliton(50), 50, 100, -1, 1,
+        "7470835af9a70ec775dade85c4742b98dff59d7eb94107f821af654bdc0d1f1e"),
+    "n0": (ideal_soliton(50), 50, 0, 9, 1,
+           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # more symbols than one sampling block
+    "ideal300_n9000": (
+        ideal_soliton(300), 300, 9000, 12345, 2,
+        "f6047b131779abff370416f39135a4f47c79b79073958a2102cf30a577a68e83"),
+}
+
+
+def golden_inputs(k, nbytes, seed):
+    rng = np.random.default_rng(seed)
+    return [bytes(row) for row in rng.integers(0, 256, size=(k, nbytes), dtype=np.uint8)]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_encode_golden_digest(case):
+    dist, k, n, seed, nbytes, digest = GOLDEN[case]
+    buf = io.StringIO()
+    write_symbols(encode(golden_inputs(k, nbytes, k + n), dist, n, seed), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def scalar_graph(dist, k, n, seed):
+    """Each symbol's sorted inputs, drawn one SplitMix64 output at a time."""
+    cdf, acc = [], 0.0
+    for _, m in dist.entries:
+        acc += m
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    degrees = [d for d, _ in dist.entries]
+    rows = []
+    for i in range(n):
+        rng = lt_codec.SplitMix64(lt_codec.symbol_stream_seed(seed, i))
+        d = degrees[bisect.bisect_left(cdf, rng.random())]
+        overlay, chosen = {}, []
+        for j in range(d):
+            pick = j + rng.randbelow(k - j)
+            chosen.append(overlay.get(pick, pick))
+            overlay[pick] = overlay.get(j, j)
+        rows.append(sorted(chosen))
+    return rows
+
+
+def test_degree_cdf_is_the_running_sum():
+    for dist in (robust_soliton(10_000, 0.1, 0.5), ideal_soliton(2000), DEG1):
+        running, acc = [], 0.0
+        for _, m in dist.entries:
+            acc += m
+            running.append(acc)
+        running[-1] = 1.0
+        assert lt_codec._degree_cdf(dist).tolist() == running
+
+
+def csr_rows(offsets, neighbors):
+    assert offsets.dtype == neighbors.dtype == np.int64
+    assert offsets[0] == 0 and offsets[-1] == neighbors.size
+    return [neighbors[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def random_distribution(rng, k):
+    support = rng.choice(np.arange(1, k + 1), size=int(rng.integers(1, min(k, 6) + 1)),
+                         replace=False)
+    masses = rng.random(support.size) + 0.01
+    return DegreeDistribution.from_mapping(
+        dict(zip(support.tolist(), (masses / masses.sum()).tolist())))
+
+
+@pytest.mark.parametrize("block", [4096, 3])
+def test_sample_graph_matches_scalar_streams(monkeypatch, block):
+    monkeypatch.setattr(lt_codec, "_BLOCK", block)
+    rng = np.random.default_rng(2718 + block)
+    for _ in range(150):
+        k = int(rng.integers(1, 41))
+        dist = random_distribution(rng, k)
+        n = int(rng.integers(0, 30))
+        seed = int(rng.integers(-2**62, 2**62)) * int(rng.integers(1, 5))
+        got = csr_rows(*sample_graph(dist, k, n, seed))
+        assert got == scalar_graph(dist, k, n, seed), (dist.entries, k, n, seed)
+
+
+def test_sample_graph_validation():
+    with pytest.raises(ValueError):
+        sample_graph(DEG1, 0, 1, 0)
+    with pytest.raises(ValueError):
+        sample_graph(DEG1, 3, -1, 0)
+    with pytest.raises(ValueError):
+        sample_graph(DEG2, 1, 1, 0)
+
+
+def test_rejection_threshold():
+    for m in (1, 2, 3, 7, 10, 64, 1000, 2**32 + 1, 2**40, 2**63 + 5):
+        threshold = (2**64 // m) * m  # randbelow(m) keeps draws below this
+        cases = {threshold - 1: False, 2**64 - 1: threshold < 2**64}
+        if threshold < 2**64:
+            cases[threshold] = True
+        draws = np.array(list(cases), dtype=np.uint64)
+        got = lt_codec._rejected(draws, np.full(draws.size, m, dtype=np.uint64))
+        assert got.tolist() == list(cases.values()), m
+
+
+def test_rejected_draw_replays_the_row(monkeypatch):
+    # Force the first index draw of symbol 3 to 2**64 - 1, above the
+    # threshold 2**64 - 6 of randbelow(10), in both the scalar and the array
+    # mix64: the row must be replayed and match the scalar stream.
+    k, n, seed = 10, 8, 99
+    dist = DegreeDistribution.from_mapping({3: 1.0})
+    plain = csr_rows(*sample_graph(dist, k, n, seed))
+    target = (lt_codec.symbol_stream_seed(seed, 3) + 2 * 0x9E3779B97F4A7C15) % 2**64
+    mix64, mix64_array, replay = lt_codec.mix64, lt_codec._mix64_array, lt_codec._replay_row
+
+    def forced(x):
+        return 2**64 - 1 if x & (2**64 - 1) == target else mix64(x)
+
+    def forced_array(x):
+        hit = x == np.uint64(target)
+        out = mix64_array(x)
+        out[hit] = np.uint64(2**64 - 1)
+        return out
+
+    replayed = []
+
+    def spy(stream_seed, k, degree):
+        replayed.append(stream_seed)
+        return replay(stream_seed, k, degree)
+
+    monkeypatch.setattr(lt_codec, "mix64", forced)
+    monkeypatch.setattr(lt_codec, "_mix64_array", forced_array)
+    monkeypatch.setattr(lt_codec, "_replay_row", spy)
+    got = csr_rows(*sample_graph(dist, k, n, seed))
+    assert got == scalar_graph(dist, k, n, seed)
+    assert replayed == [lt_codec.symbol_stream_seed(seed, 3)]
+    assert got[3] != plain[3]
+    assert got[:3] + got[4:] == plain[:3] + plain[4:]
+
+
+def test_graph_check_matches_symbol_check():
+    offsets = np.array([0, 2, 3])
+    lt_codec._check_graph(offsets, np.array([1, 4, 0]))  # rows may restart low
+    for nbrs in ([4, 1, 0], [1, 1, 0], [-1, 4, 0]):
+        with pytest.raises(ValueError):
+            lt_codec._check_graph(offsets, np.array(nbrs))
+    with pytest.raises(ValueError):
+        lt_codec._check_graph(np.array([0, 2, 2]), np.array([1, 4]))
 
 
 def test_coded_symbol_validation():

@@ -17,6 +17,7 @@ from fountain_lab import (
     trial_seed,
     write_result_csv,
 )
+from fountain_lab.sim_harness import MAX_SYMBOLS
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0}, label="degree1")
 
@@ -35,6 +36,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(distribution=DEG1, k=100, r_values=(0.5,), trials=1,
                          receive_model="sometimes")
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 1e300, MAX_SYMBOLS / 10**4 + 0.5])
+def test_config_rejects_non_finite_or_oversized_rate(r):
+    with pytest.raises(ValueError):
+        SimulationConfig(distribution=DEG1, k=10**4, r_values=(0.5, r), trials=1)
+
+
+def test_config_accepts_rate_at_symbol_cap():
+    config = SimulationConfig(distribution=DEG1, k=10**4,
+                              r_values=(MAX_SYMBOLS / 10**4,), trials=1)
+    assert config.r_values[0] * config.k == MAX_SYMBOLS
 
 
 def test_zero_rate_trial():
