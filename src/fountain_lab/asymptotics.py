@@ -13,12 +13,15 @@ The scan uses a strict threshold -refine_tol instead of 0: on knife-edge
 inputs (heavy-tailed soliton at r = 1) the true margin is identically ~0 and
 a plain sign test would flip on float noise. Results are therefore reported
 up to grid resolution, deterministically.
+
+Every P'(t) here is a call of pgf_derivative, whose one chunked evaluator
+drops the terms with t^(d-1) < e^-46 ~ 1e-20 (moving P'(t) by less than 1e-20
+times the mean degree) and never builds the full t x degree matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,33 +30,12 @@ from .degree_dist import DegreeDistribution, pgf_derivative
 DEFAULT_GRID_STEP = 1e-4
 DEFAULT_REFINE_TOL = 1e-9
 
-ANALYSIS_SOURCES = ("asymptotic", "lp_outer_bound", "inner_design", "simulation")
+# most points one scan may visit, so grid steps go down to 1e-6
+MAX_GRID_POINTS = 10**6
 
-# terms t^d with t^d < e^-46 ~ 1e-20 are dropped from chunked scans; with
-# total mass 1 and degrees <= ~1e4 the truncation error stays below 1e-16
-_TRUNC_LOG = 46.0
-
+# grid points per step of the scan, which stops at the first chunk holding
+# the crossing
 _SCAN_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class AnalysisPoint:
-    """One (rate, recovered fraction) pair with provenance and tolerance."""
-
-    r: float
-    z: float
-    source: str
-    tolerance: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.z <= 1.0:
-            raise ValueError(f"z must lie in [0, 1], got {self.z!r}")
-        if self.r < 0.0 or not math.isfinite(self.r):
-            raise ValueError(f"r must be finite and >= 0, got {self.r!r}")
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be >= 0")
-        if self.source not in ANALYSIS_SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
 
 
 def peeling_margin(t, r: float, dist: DegreeDistribution) -> float | np.ndarray:
@@ -65,27 +47,46 @@ def peeling_margin(t, r: float, dist: DegreeDistribution) -> float | np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
-def _margin_chunk(ts: np.ndarray, r: float, dist: DegreeDistribution) -> np.ndarray:
-    """Margin on an ascending chunk, dropping degrees whose powers underflow."""
-    degrees = dist.degree_array
-    masses = dist.mass_array
-    t_max = float(ts[-1])
-    if 0.0 < t_max < 1.0:
-        cutoff = 1 + int(_TRUNC_LOG / -math.log(t_max))
-        hi = int(np.searchsorted(degrees, cutoff, side="right"))
-        if hi < degrees.size:
-            degrees = degrees[: max(hi, 1)]
-            masses = masses[: max(hi, 1)]
-    weights = masses * degrees
-    powers = np.power.outer(ts, degrees - 1)
-    return r * (powers @ weights) + np.log1p(-ts)
-
-
-def _validate_grid(grid_step: float, refine_tol: float | None = None) -> None:
-    if not 0.0 < grid_step <= 0.1:
-        raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step!r}")
+def validate_grid(grid_step: float, refine_tol: float | None = None) -> None:
+    """Reject a scan grid of more than MAX_GRID_POINTS points or a bad refine_tol."""
+    if not 1.0 / MAX_GRID_POINTS <= grid_step <= 0.1:
+        raise ValueError(f"grid_step must lie in [{1 / MAX_GRID_POINTS:g}, 0.1], got {grid_step!r}")
     if refine_tol is not None and not 0.0 < refine_tol <= grid_step:
         raise ValueError(f"refine_tol must lie in (0, grid_step], got {refine_tol!r}")
+
+
+def _crossing(
+    r: float, dist: DegreeDistribution, grid_step: float, refine_tol: float
+) -> tuple[float, np.ndarray]:
+    """s(r, P), and the grid points below it where the margin is at most refine_tol."""
+    if r < 0.0 or not math.isfinite(r):
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
+    validate_grid(grid_step, refine_tol)
+
+    n_pts = int(round(1.0 / grid_step))
+    weak, hit = [], None
+    for start in range(0, n_pts, _SCAN_CHUNK):
+        ts = np.arange(start, min(start + _SCAN_CHUNK, n_pts)) * grid_step
+        vals = r * pgf_derivative(dist, ts) + np.log1p(-ts)
+        bad = np.flatnonzero(vals < -refine_tol)
+        end = int(bad[0]) if bad.size else ts.size
+        weak.append(ts[:end][vals[:end] <= refine_tol])
+        if bad.size:
+            hit = start + end
+            break
+    weak = np.concatenate(weak)
+    if hit is None:
+        return 1.0, weak
+    # the margin at t=0 is r*P(1) >= 0, so a bracket always exists
+    lo = (hit - 1) * grid_step
+    hi = hit * grid_step
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        if peeling_margin(mid, r, dist) < -refine_tol:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), weak
 
 
 def s_of_r(
@@ -101,32 +102,7 @@ def s_of_r(
     width refine_tol. Returns 1.0 if no grid point up to 1 - grid_step goes
     negative.
     """
-    if r < 0.0 or not math.isfinite(r):
-        raise ValueError(f"r must be finite and >= 0, got {r!r}")
-    _validate_grid(grid_step, refine_tol)
-
-    n_pts = int(round(1.0 / grid_step))
-    hit = None
-    for start in range(0, n_pts, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, n_pts))
-        ts = idx * grid_step
-        vals = _margin_chunk(ts, r, dist)
-        bad = np.nonzero(vals < -refine_tol)[0]
-        if bad.size:
-            hit = int(idx[bad[0]])
-            break
-    if hit is None:
-        return 1.0
-    # the margin at t=0 is r*P(1) >= 0, so a bracket always exists
-    lo = (hit - 1) * grid_step
-    hi = hit * grid_step
-    while hi - lo > refine_tol:
-        mid = 0.5 * (lo + hi)
-        if peeling_margin(mid, r, dist) < -refine_tol:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _crossing(r, dist, grid_step, refine_tol)[0]
 
 
 def r_of_z(
@@ -145,7 +121,7 @@ def r_of_z(
     """
     if not 0.0 <= z < 1.0:
         raise ValueError(f"z must lie in [0, 1), got {z!r}")
-    _validate_grid(grid_step)
+    validate_grid(grid_step)
     if z == 0.0:
         return 0.0
     if dist.mass(1) == 0.0 and dist.mass(2) == 0.0:
@@ -155,10 +131,9 @@ def r_of_z(
     origin_limit = 0.0 if dist.mass(1) > 0.0 else 1.0 / (2.0 * dist.mass(2))
 
     n_inner = int(math.floor(z / grid_step + 1e-9))
-    candidates = [j * grid_step for j in range(1, n_inner + 1) if j * grid_step < z]
-    candidates.append(z)
-    ts = np.array(candidates)
-    derivs = np.asarray(pgf_derivative(dist, ts), dtype=np.float64)
+    ts = np.arange(1, n_inner + 1) * grid_step
+    ts = np.append(ts[ts < z], z)
+    derivs = pgf_derivative(dist, ts)
     numer = -np.log1p(-ts)
     if np.any((derivs <= 0.0) & (numer > 0.0)):
         return math.inf
@@ -169,8 +144,8 @@ def r_of_z(
         d = pgf_derivative(dist, t)
         return math.inf if d <= 0.0 else -math.log1p(-t) / d
 
-    lo = candidates[best - 1] if best > 0 else candidates[0] / 2.0
-    hi = candidates[best + 1] if best + 1 < len(candidates) else z
+    lo = float(ts[best - 1]) if best > 0 else float(ts[0]) / 2.0
+    hi = float(ts[best + 1]) if best + 1 < ts.size else z
     # ternary-search polish of the grid maximum
     for _ in range(80):
         m1 = lo + (hi - lo) / 3.0
@@ -195,23 +170,5 @@ def check_margin_condition(
     +-refine_tol of zero fail the check unless they are endpoints (t = 0, or
     within two grid steps of s, where the crossing itself lives).
     """
-    s = s_of_r(r, dist, grid_step, refine_tol)
-    n_pts = int(round(1.0 / grid_step))
-    right_slack = s - 2.0 * grid_step
-    for start in range(0, n_pts, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, n_pts))
-        ts = idx * grid_step
-        keep = ts < s
-        if not keep.any():
-            break
-        ts = ts[keep]
-        vals = _margin_chunk(ts, r, dist)
-        weak = np.nonzero(vals <= refine_tol)[0]
-        for j in weak:
-            t = float(ts[j])
-            if t == 0.0 or t >= right_slack:
-                continue
-            return False
-        if not keep.all():
-            break
-    return True
+    s, weak = _crossing(r, dist, grid_step, refine_tol)
+    return not np.any((weak > 0.0) & (weak < s - 2.0 * grid_step))

@@ -8,13 +8,14 @@ All outputs are UTF-8 CSV (or the tab-separated distribution format) with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import sys
 from pathlib import Path
 
 from . import CSV_FLOAT, __version__
-from .asymptotics import r_of_z, s_of_r
+from .asymptotics import r_of_z, s_of_r, validate_grid
 from .degree_dist import (
     DegreeDistribution,
     UnknownRegionError,
@@ -28,7 +29,7 @@ from .degree_dist import (
     truncated_soliton,
     write_distribution,
 )
-from .lp_bounds import dual_outer_bound, outer_bound_curve
+from .lp_bounds import dual_outer_bound, outer_bound_curve, validate_grid_step
 from .sim_harness import SimulationConfig, sweep, write_result_csv
 
 # most rates one `analyze --r-range` may list
@@ -56,6 +57,14 @@ def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--dist-file", metavar="PATH", help="degree<TAB>mass file")
 
 
+def _design(z: float) -> tuple[DegreeDistribution, float, str]:
+    """Best known distribution for target z, its rate, and the rate's name."""
+    if z > 2.0 / 3.0:
+        design = truncated_soliton(z)
+        return design.distribution, design.a, "a"
+    return (*optimal_distribution(z), "r")
+
+
 def _resolve_dist(args: argparse.Namespace) -> DegreeDistribution:
     if args.degree1:
         return DegreeDistribution.from_mapping({1: 1.0}, label="degree1")
@@ -71,23 +80,25 @@ def _resolve_dist(args: argparse.Namespace) -> DegreeDistribution:
     if args.raptor is not None:
         return raptor_omega(args.raptor)
     if args.design_z is not None:
-        z = args.design_z
-        if z > 2.0 / 3.0:
-            return truncated_soliton(z).distribution
-        return optimal_distribution(z)[0]
+        return _design(args.design_z)[0]
     try:
         return read_distribution(args.dist_file)
     except OSError as exc:
         raise ValueError(f"cannot read distribution file: {exc}") from exc
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout for None or '-', else the file at path, closed on exit."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    validate_grid(args.grid_step, args.refine_tol)
     dist = _resolve_dist(args)
     rs = list(args.r or [])
     if args.r_range is not None:
@@ -106,17 +117,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("no r values given")
     if not all(math.isfinite(r) and r >= 0 for r in rs):
         raise ValueError("r values must be finite and >= 0")
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(f"# fountain-lab {__version__} analyze\n")
         out.write(f"# distribution: {dist.label or 'custom'}\n")
         out.write("r,s\n")
         for r in rs:
             s = s_of_r(r, dist, args.grid_step, args.refine_tol)
             out.write(f"{CSV_FLOAT % r},{CSV_FLOAT % s}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -128,13 +135,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         if not 0.0 < z < 1.0:
             raise ValueError(f"z={z!r} outside (0, 1)")
     curve = outer_bound_curve(zs, args.grid_step)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(f"# fountain-lab {__version__} bound grid_step={args.grid_step:g}\n")
         curve.write_csv(out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -142,22 +145,13 @@ def cmd_design(args: argparse.Namespace) -> int:
     z = args.z
     if not 0.0 < z < 1.0:
         raise ValueError(f"z={z!r} outside (0, 1)")
-    if z > 2.0 / 3.0:
-        design = truncated_soliton(z)
-        dist, rate, rate_name = design.distribution, design.a, "a"
-    else:
-        dist, rate = optimal_distribution(z)
-        rate_name = "r"
+    dist, rate, rate_name = _design(z)
     buf = io.StringIO()
     buf.write(f"# design for z = {z:g}\n")
     buf.write(f"# {rate_name} = {rate:.9g}\n")
     write_distribution(dist, buf)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(buf.getvalue())
-    finally:
-        if close:
-            out.close()
     print(f"{rate_name} = {rate:.9g}", file=sys.stderr)
     return 0
 
@@ -181,21 +175,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         symbol_bytes=args.symbol_bytes,
     )
     result = sweep(config, annotate_asymptotic=not args.no_asymptotic)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         if note:
             out.write(note)
         write_result_csv(result, config, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     eps, delta = args.eps, args.delta
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     if not 0.0 < delta < 1.0 / 3.0:
         raise ValueError("delta must lie in (0, 1/3) so the design target exceeds 2/3")
     z = 1.0 - delta
@@ -211,9 +199,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    step = args.grid_step
+    validate_grid_step(step)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    step = args.grid_step
 
     # exact region: known-optimal rate with the LP outer bound alongside
     zs = [round(0.02 * j, 2) for j in range(1, 34)]
@@ -223,10 +212,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         out.write(f"# fountain-lab {__version__} curves grid_step={step:g}\n")
         out.write("z,r_exact,r_outer\n")
         for z in zs:
-            if z <= 0.5:
-                r_exact = -math.log1p(-z)
-            else:
-                r_exact = -math.log1p(-z) / (2.0 * z)
+            r_exact = optimal_distribution(z)[1]
             r_outer = dual_outer_bound(z, step)
             out.write(f"{CSV_FLOAT % z},{CSV_FLOAT % r_exact},{CSV_FLOAT % r_outer}\n")
 

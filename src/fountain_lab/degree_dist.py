@@ -24,6 +24,16 @@ import numpy as np
 
 MASS_SUM_TOL = 1e-12
 
+# largest degree a constructor builds: one dict entry per degree
+MAX_DEGREE = 10**6
+
+# power sums drop the terms w t^e with t^e < e^-46 ~ 1e-20, which moves a sum
+# by less than 1e-20 times its weights' total (the mean degree, for P'(t))
+_TRUNC_LOG = 46.0
+
+# most powers (rows x kept exponents) one chunk of a power sum holds: 512 KiB
+_CHUNK_ELEMENTS = 1 << 16
+
 
 class UnknownRegionError(ValueError):
     """No exactly optimal distribution is known for this recovery target."""
@@ -94,32 +104,68 @@ class DegreeDistribution:
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)
 
+    @cached_property
+    def _derivative_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents d - 1 and weights d P(d) of P'(t)."""
+        return self.degree_array - 1, self.mass_array * self.degree_array
+
     def mean_degree(self) -> float:
         return float(np.dot(self.degree_array, self.mass_array))
 
 
-def _check_t(t) -> np.ndarray:
+def _kept_terms(exponents: np.ndarray, t_max: float) -> int:
+    """How many leading exponents e keep t_max^e >= exp(-_TRUNC_LOG); at least one."""
+    if t_max < 1.0:
+        # an int limit keeps searchsorted from casting the exponents to float
+        limit = int(_TRUNC_LOG / -math.log(t_max)) if t_max > 0.0 else 0
+        if limit < exponents[-1]:
+            return max(int(np.searchsorted(exponents, limit, side="right")), 1)
+    return exponents.size
+
+
+def _power_sum(exponents: np.ndarray, weights: np.ndarray, t) -> float | np.ndarray:
+    """sum_e weights[e] * t^exponents[e] for t in [0, 1] (scalar or array).
+
+    The one evaluator behind pgf_eval and pgf_derivative; exponents ascend.
+    Each chunk of at most _CHUNK_ELEMENTS powers (one row at least) drops the
+    exponents e with t_max^e < exp(-_TRUNC_LOG), t_max its largest t, so the
+    full t x degree matrix is never built. Ascending t truncate best.
+    """
     arr = np.asarray(t, dtype=np.float64)
-    if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) > 1.0):
+    flat = arr.ravel()
+    if flat.size > 1:
+        t_min, t_max = float(flat.min()), float(flat.max())
+    else:
+        t_min = t_max = float(flat[0]) if flat.size else 0.0
+    if t_min < 0.0 or t_max > 1.0:
         raise ValueError("t must lie in [0, 1]")
-    return arr
+    cols = _kept_terms(exponents, t_max)
+    rows = max(1, _CHUNK_ELEMENTS // cols)
+    if flat.size <= rows:
+        out = np.power.outer(flat, exponents[:cols]) @ weights[:cols]
+    else:
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, rows):
+            chunk = flat[i : i + rows]
+            cols = _kept_terms(exponents, float(chunk.max()))
+            out[i : i + rows] = np.power.outer(chunk, exponents[:cols]) @ weights[:cols]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def pgf_eval(dist: DegreeDistribution, t) -> float | np.ndarray:
     """Generating function sum_i P(i) t^i at t in [0, 1] (scalar or array)."""
-    arr = _check_t(t)
-    powers = np.power.outer(arr, dist.degree_array)
-    out = powers @ dist.mass_array
-    return float(out) if arr.ndim == 0 else out
+    return _power_sum(dist.degree_array, dist.mass_array, t)
 
 
 def pgf_derivative(dist: DegreeDistribution, t) -> float | np.ndarray:
     """Derivative sum_i P(i) i t^(i-1); equals P(1) at t = 0."""
-    arr = _check_t(t)
-    weights = dist.mass_array * dist.degree_array
-    powers = np.power.outer(arr, dist.degree_array - 1)
-    out = powers @ weights
-    return float(out) if arr.ndim == 0 else out
+    exponents, weights = dist._derivative_terms
+    return _power_sum(exponents, weights, t)
+
+
+def _check_max_degree(what: str, degree: float) -> None:
+    if not degree <= MAX_DEGREE:
+        raise ValueError(f"{what} needs degree {degree:g}, above MAX_DEGREE = {MAX_DEGREE}")
 
 
 def ideal_soliton(k: int) -> DegreeDistribution:
@@ -129,6 +175,7 @@ def ideal_soliton(k: int) -> DegreeDistribution:
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"ideal_soliton needs integer k >= 2, got {k!r}")
+    _check_max_degree(f"ideal_soliton(k={k})", k)
     masses = {1: 1.0 / k}
     for i in range(2, k + 1):
         masses[i] = 1.0 / (i * (i - 1))
@@ -146,6 +193,7 @@ def limiting_soliton(max_degree: int) -> DegreeDistribution:
     m = max_degree
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"limiting_soliton needs integer max_degree >= 2, got {m!r}")
+    _check_max_degree(f"limiting_soliton(max_degree={m})", m)
     masses = {i: 1.0 / (i * (i - 1)) for i in range(2, m)}
     masses[m] = 1.0 / (m - 1)
     return DegreeDistribution.from_mapping(masses, label=f"limiting_soliton(max={m})")
@@ -162,6 +210,7 @@ def robust_soliton(k: int, c: float, fail_prob: float) -> DegreeDistribution:
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"robust_soliton needs integer k >= 2, got {k!r}")
+    _check_max_degree(f"robust_soliton(k={k})", k)
     if c <= 0.0:
         raise ValueError("c must be positive")
     if not 0.0 < fail_prob < 1.0:
@@ -248,6 +297,7 @@ def truncated_soliton(z: float) -> TruncatedSolitonDesign:
             f"z={z!r} outside (2/3, 1); use optimal_distribution for z <= 2/3"
         )
     m = max(max_useful_degree(z), 3)
+    _check_max_degree(f"truncated_soliton(z={z!r})", m)
     tail = _log_series_tail(z, m)
     a = (m - 1) / m + tail / (m * z ** (m - 1))
     masses = {i: 1.0 / (a * i * (i - 1)) for i in range(2, m)}
@@ -263,11 +313,13 @@ def raptor_omega(eps: float) -> DegreeDistribution:
     mu/(1+mu) at degree 1, 1/((1+mu) i (i-1)) for 2 <= i <= D, and
     1/((1+mu) D) at degree D+1; the sum telescopes to exactly 1.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     # the 1e-9 slack keeps D exact when 4(1+eps)/eps is an integer but the
     # float quotient lands a hair above it
-    D = math.ceil(4.0 * (1.0 + eps) / eps - 1e-9)
+    top = 4.0 * (1.0 + eps) / eps - 1e-9
+    _check_max_degree(f"raptor_omega(eps={eps:g})", top + 1.0)
+    D = math.ceil(top)
     mu = eps / 2.0 + (eps / 2.0) ** 2
     masses = {1: mu / (1.0 + mu)}
     for i in range(2, D + 1):

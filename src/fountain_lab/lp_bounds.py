@@ -28,11 +28,15 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import CSV_FLOAT
-from .degree_dist import DegreeDistribution, max_useful_degree
+from .degree_dist import DegreeDistribution, _power_sum, max_useful_degree
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
 DEFAULT_LP_GRID_STEP = 1e-3
+
+# most points an LP grid may hold, so grid steps go down to 1e-5; the
+# verification grid of primal_min_r is ten times finer
+MAX_LP_GRID_POINTS = 10**5
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -49,7 +53,6 @@ class LpProblem:
     constraint_rhs: np.ndarray
     sense: str = "maximize"
     row_relations: tuple[str, ...] = ()
-    variable_lower_bounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=np.float64)
@@ -69,9 +72,6 @@ class LpProblem:
         for rel in relations:
             if rel not in ("<=", ">=", "="):
                 raise ValueError(f"unknown row relation {rel!r}")
-        lb = self.variable_lower_bounds
-        if lb is not None and np.any(np.asarray(lb) != 0.0):
-            raise ValueError("only zero lower bounds are supported")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", A)
         object.__setattr__(self, "constraint_rhs", b)
@@ -268,14 +268,20 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSoluti
 # --- rate bounds ---
 
 
+def validate_grid_step(grid_step: float) -> None:
+    """Reject an LP grid step above 0.01 or one giving over MAX_LP_GRID_POINTS points."""
+    if not 1.0 / MAX_LP_GRID_POINTS <= grid_step <= 0.01:
+        raise ValueError(
+            f"grid_step must lie in [{1 / MAX_LP_GRID_POINTS:g}, 0.01], got {grid_step!r}"
+        )
+
+
 def _grid_closed(z: float, grid_step: float) -> np.ndarray:
     """Grid points j*grid_step inside [0, z), with z appended as final point."""
-    pts = list(np.arange(0.0, z, grid_step))
-    if not pts or z - pts[-1] > 1e-12:
-        pts.append(z)
-    else:
-        pts[-1] = z
-    return np.asarray(pts)
+    pts = np.arange(0.0, z, grid_step)
+    if pts.size and z - pts[-1] <= 1e-12:
+        pts = pts[:-1]
+    return np.append(pts, z)
 
 
 def _grid_half_open(z: float, grid_step: float) -> np.ndarray:
@@ -315,8 +321,7 @@ def dual_outer_bound_details(
     """Outer bound plus the optimizing grid masses, for support inspection."""
     if not 0.0 < z <= 1.0 - 1e-9:
         raise ValueError(f"z must lie in (0, 1 - 1e-9], got {z!r}")
-    if not 0.0 < grid_step <= 0.01:
-        raise ValueError(f"grid_step must lie in (0, 0.01], got {grid_step!r}")
+    validate_grid_step(grid_step)
     problem, xs = build_outer_bound_problem(z, grid_step)
     solution = simplex_solve(problem)
     if solution.status != STATUS_OPTIMAL:
@@ -346,8 +351,7 @@ def primal_min_r(
     """
     if not 0.0 < z < 1.0 - 1e-12:
         raise ValueError(f"z must lie in (0, 1), got {z!r}")
-    if not 0.0 < constraint_grid_step <= 0.01:
-        raise ValueError(f"grid step must lie in (0, 0.01], got {constraint_grid_step!r}")
+    validate_grid_step(constraint_grid_step)
     if z <= constraint_grid_step:
         raise ValueError("z must exceed the constraint grid step")
     m = support_limit if support_limit is not None else max_useful_degree(z)
@@ -367,14 +371,12 @@ def primal_min_r(
     # re-verify on the closure [0, z]: the constraint is continuous, so
     # feasibility on [0, z) and on [0, z] coincide, and the closed endpoint
     # is where the binding ratio peaks
-    fine = _grid_closed(z, constraint_grid_step / 10.0)
-    fine = fine[fine > 0.0]
+    fine = _grid_closed(z, constraint_grid_step / 10.0)[1:]  # t = 0 needs no rate
     degrees = np.arange(1, m + 1)
-    deriv = np.power.outer(fine, degrees - 1) @ (a * degrees)
+    deriv = _power_sum(degrees - 1, a * degrees, fine)
     needed = -np.log1p(-fine)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(deriv > 0.0, needed / np.maximum(deriv, 1e-300), np.inf)
-    factor = max(1.0, float(ratio.max())) if fine.size else 1.0
+    ratio = np.where(deriv > 0.0, needed / np.maximum(deriv, 1e-300), np.inf)
+    factor = max(1.0, float(ratio.max()))
     if not math.isfinite(factor):
         raise RuntimeError("rate LP produced an empty design")
     a = a * factor

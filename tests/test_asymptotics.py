@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fountain_lab import (
-    AnalysisPoint,
     DegreeDistribution,
     check_margin_condition,
     ideal_soliton,
@@ -12,6 +12,7 @@ from fountain_lab import (
     optimal_distribution,
     peeling_margin,
     perturb,
+    robust_soliton,
     r_of_z,
     s_of_r,
     truncated_soliton,
@@ -139,6 +140,18 @@ def test_r_of_z_monotone_in_z():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
+def test_r_of_z_memory_on_large_support():
+    # a dense evaluator holds a 5,000 x 10^4 power matrix here (400 MB)
+    dist = ideal_soliton(10_000)
+    tracemalloc.start()
+    try:
+        r_of_z(0.5, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
 def test_margin_condition_degree1():
     assert check_margin_condition(1.0, DEG1) is True
 
@@ -153,12 +166,57 @@ def test_margin_condition_truncated_design_holds():
     assert check_margin_condition(design.a, design.distribution) is True
 
 
-def test_analysis_point_validation():
-    pt = AnalysisPoint(r=0.5, z=0.25, source="asymptotic", tolerance=1e-6)
-    assert pt.z == 0.25
-    with pytest.raises(ValueError):
-        AnalysisPoint(r=-1.0, z=0.5, source="asymptotic")
-    with pytest.raises(ValueError):
-        AnalysisPoint(r=0.5, z=1.5, source="asymptotic")
-    with pytest.raises(ValueError):
-        AnalysisPoint(r=0.5, z=0.5, source="nonsense")
+# --- golden values on the three 10^4-degree distributions of the benchmark ---
+#
+# Computed with a dense, untruncated P'(t) (the whole t x degree power
+# matrix at once); truncation and chunking may move only the last bits.
+
+BIG_K = 10_000
+
+
+@pytest.fixture(scope="module")
+def big_dists():
+    return {
+        "ideal": ideal_soliton(BIG_K),
+        "robust": robust_soliton(BIG_K, 0.1, 0.5),
+        "heavy": perturb(limiting_soliton(BIG_K), 1e-3),
+    }
+
+
+R_OF_Z_GOLDEN = [
+    ("ideal", 0.25, 0.9996525148382317),
+    ("ideal", 0.5, 0.9998557513065989),
+    ("ideal", 0.9, 0.9999565724378449),
+    ("robust", 0.25, 1.054959399474294),
+    ("robust", 0.5, 1.0729345512788395),
+    ("robust", 0.9, 1.0747099343701745),
+    ("heavy", 0.25, 0.9975300562309436),
+    ("heavy", 0.5, 0.9995575008512899),
+    ("heavy", 0.9, 1.0005660257219713),
+]
+
+S_OF_R_GOLDEN = [
+    ("ideal", 0.5, 9.999732971191406e-05, True),
+    ("ideal", 0.9, 0.0008996051788330079, True),
+    ("ideal", 1.0, 0.999287446975708, True),
+    ("ideal", 1.2, 1.0, True),
+    ("robust", 0.5, 0.00831848487854004, True),
+    ("robust", 0.9, 0.04520495719909668, True),
+    ("robust", 1.0, 0.10167584953308108, True),
+    ("robust", 1.2, 1.0, True),
+    ("heavy", 0.5, 0.0009985042572021484, True),
+    ("heavy", 0.9, 0.008880069351196288, True),
+    ("heavy", 1.0, 0.6321209270477297, True),
+    ("heavy", 1.2, 1.0, True),
+]
+
+
+@pytest.mark.parametrize("label,z,expected", R_OF_Z_GOLDEN)
+def test_r_of_z_golden(big_dists, label, z, expected):
+    assert r_of_z(z, big_dists[label]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("label,r,expected,margin_ok", S_OF_R_GOLDEN)
+def test_s_of_r_and_margin_golden(big_dists, label, r, expected, margin_ok):
+    assert s_of_r(r, big_dists[label]) == pytest.approx(expected, rel=1e-12)
+    assert check_margin_condition(r, big_dists[label]) is margin_ok

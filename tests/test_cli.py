@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from fountain_lab import limiting_soliton, write_distribution
+from fountain_lab import DegreeDistribution, limiting_soliton, write_distribution
+from fountain_lab.asymptotics import MAX_GRID_POINTS, validate_grid
 from fountain_lab.cli import main
+from fountain_lab.degree_dist import MAX_DEGREE
+from fountain_lab.lp_bounds import MAX_LP_GRID_POINTS, validate_grid_step
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +189,69 @@ def test_bound_internal_error_prefix_once(capsys):
     if code == 1:
         assert err.count("internal error:") == 1
         assert "np.float64(" not in err
+
+
+def assert_rejected_before_output(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--degree1", "--r", "1", "--grid-step", "1e-12"],
+    ["analyze", "--degree1", "--r", "1", "--grid-step", "1e-9"],
+    ["bound", "--z", "0.6", "--grid-step", "1e-9"],
+])
+def test_grid_step_capped_before_output(capsys, argv):
+    assert_rejected_before_output(*run_cli(capsys, *argv))
+
+
+def test_curves_grid_step_capped_before_output(capsys, tmp_path):
+    out_dir = tmp_path / "curves"
+    code, out, err = run_cli(capsys, "curves", "--out-dir", str(out_dir),
+                             "--grid-step", "1e-9")
+    assert_rejected_before_output(code, out, err)
+    assert not out_dir.exists()
+
+
+def test_grid_caps_keep_the_usual_steps(capsys):
+    for step in (1e-3, 1e-4, 1.0 / MAX_GRID_POINTS):
+        validate_grid(step, 1e-9)
+    with pytest.raises(ValueError):
+        validate_grid(0.99 / MAX_GRID_POINTS)
+    for step in (1e-3, 1e-4, 1.0 / MAX_LP_GRID_POINTS):
+        validate_grid_step(step)
+    with pytest.raises(ValueError):
+        validate_grid_step(0.99 / MAX_LP_GRID_POINTS)
+    code, out, _ = run_cli(capsys, "analyze", "--degree1", "--r", "0.5", "--grid-step", "1e-4")
+    assert code == 0 and csv_rows(out)
+    code, out, _ = run_cli(capsys, "bound", "--z", "0.3", "--grid-step", "1e-4")
+    assert code == 0 and csv_rows(out)
+
+
+OVER_CAP = str(MAX_DEGREE + 1)
+# eps = 4/(MAX_DEGREE + 1) puts the Raptor distribution's top degree just over the cap
+OVER_CAP_EPS = repr(4.0 / (MAX_DEGREE + 1))
+# z/(1-z) = MAX_DEGREE + 0.5, so the truncated soliton needs degree MAX_DEGREE + 1
+OVER_CAP_Z = repr(1.0 - 1.0 / (MAX_DEGREE + 1.5))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--soliton", OVER_CAP, "--r", "1"],
+    ["analyze", "--limiting-soliton", OVER_CAP, "--r", "1"],
+    ["analyze", "--robust", OVER_CAP, "0.1", "0.5", "--r", "1"],
+    ["analyze", "--raptor", OVER_CAP_EPS, "--r", "1"],
+    ["analyze", "--design-z", OVER_CAP_Z, "--r", "1"],
+    ["simulate", "--soliton", OVER_CAP, "--k", "10", "--r", "1"],
+    ["compare", "--eps", OVER_CAP_EPS, "--delta", "0.05"],
+    ["compare", "--eps", "1e-9", "--delta", "0.05"],
+    ["design", "--z", OVER_CAP_Z],
+])
+def test_degree_cap_before_output(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("distribution built above the degree cap")
+
+    monkeypatch.setattr(DegreeDistribution, "from_mapping", classmethod(refuse))
+    code, out, err = run_cli(capsys, *argv)
+    assert_rejected_before_output(code, out, err)
+    assert "MAX_DEGREE" in err

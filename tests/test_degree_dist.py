@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from fountain_lab import (
     truncated_soliton,
     write_distribution,
 )
+from fountain_lab import degree_dist
 from fountain_lab.degree_dist import MASS_SUM_TOL
 
 
@@ -288,6 +290,77 @@ def test_pgf_range_errors(t):
         pgf_eval(dist, t)
     with pytest.raises(ValueError):
         pgf_derivative(dist, t)
+
+
+# --- the chunked, truncated evaluator against the dense t x degree matrix ---
+
+def dense_pgf(dist, t):
+    return np.power.outer(np.asarray(t, dtype=float), dist.degree_array) @ dist.mass_array
+
+
+def dense_pgf_derivative(dist, t):
+    weights = dist.mass_array * dist.degree_array
+    return np.power.outer(np.asarray(t, dtype=float), dist.degree_array - 1) @ weights
+
+
+def wide_distribution(rng, size):
+    degrees = np.sort(rng.choice(np.arange(1, 5001), size=size, replace=False))
+    weights = rng.random(size) + 0.05
+    weights /= weights.sum()
+    return DegreeDistribution.from_mapping(dict(zip(degrees.tolist(), weights.tolist())))
+
+
+def assert_matches_dense(dist, t):
+    for evaluate, dense, total in ((pgf_eval, dense_pgf, 1.0),
+                                   (pgf_derivative, dense_pgf_derivative, dist.mean_degree())):
+        got, want = evaluate(dist, t), dense(dist, t)
+        if np.ndim(t) == 0:
+            assert type(got) is float
+        else:
+            assert got.shape == want.shape
+        # the dropped terms sum to less than e^-46 times the weights' total
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=2e-20 * total)
+
+
+@pytest.mark.parametrize("budget", [64, degree_dist._CHUNK_ELEMENTS])
+def test_power_sum_matches_dense(monkeypatch, budget):
+    monkeypatch.setattr(degree_dist, "_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(17)
+    for size in (1, 3, 40, 600):
+        dist = wide_distribution(rng, size)
+        ts = rng.random(700)
+        ts[[5, 50]] = 0.0, 1.0
+        for t in (0.0, 1.0, 0.37, np.float64(0.999), np.asarray(0.9), ts[:0],
+                  ts, np.sort(ts), ts.reshape(35, 20), ts[ts < 0.5]):
+            assert_matches_dense(dist, t)
+
+
+@pytest.mark.parametrize("budget", [64, degree_dist._CHUNK_ELEMENTS])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_power_sum_at_chunk_boundary(monkeypatch, budget, extra):
+    # with t = 1 among the points every exponent is kept, so n points need
+    # n * 16 powers: one pass up to the budget, chunks above it
+    monkeypatch.setattr(degree_dist, "_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(5)
+    dist = wide_distribution(rng, 16)
+    ts = rng.random(budget // 16 + extra)
+    ts[-1] = 1.0
+    assert_matches_dense(dist, ts)
+    assert_matches_dense(dist, ts[::-1])
+
+
+def test_power_sum_holds_one_chunk_at_a_time():
+    # the points near t = 1 keep all 2,000 exponents; the dense matrix is 32 MB
+    exponents = np.arange(2000)
+    weights = np.full(2000, 1e-3)
+    ts = np.linspace(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        degree_dist._power_sum(exponents, weights, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * degree_dist._CHUNK_ELEMENTS + 2**20
 
 
 # --- validation and text format ---
