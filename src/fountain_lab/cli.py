@@ -29,7 +29,7 @@ from .degree_dist import (
     truncated_soliton,
     write_distribution,
 )
-from .lp_bounds import dual_outer_bound, outer_bound_curve, validate_grid_step
+from .lp_bounds import dual_outer_bound, outer_bound_curve, validate_grid_step, validate_target
 from .sim_harness import SimulationConfig, sweep, write_result_csv
 
 # most rates one `analyze --r-range` may list
@@ -132,8 +132,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     if not zs:
         raise ValueError("no z values given")
     for z in zs:
-        if not 0.0 < z < 1.0:
-            raise ValueError(f"z={z!r} outside (0, 1)")
+        validate_target(z, args.grid_step)
     curve = outer_bound_curve(zs, args.grid_step)
     with _output(args.output) as out:
         out.write(f"# fountain-lab {__version__} bound grid_step={args.grid_step:g}\n")

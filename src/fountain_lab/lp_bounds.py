@@ -1,21 +1,25 @@
 """Linear-programming bounds on the rate needed to recover a fraction z.
 
-Two finite LPs bracket the least achievable rate r(z) over all degree
-distributions:
+One finite LP, the moment LP on the grid of [0, z] with z as last point,
 
-* an outer (lower) bound from the moment-constrained maximization
-      max  E[-log(1 - X)]   s.t.  X supported on a grid of [0, z],
+      max  E[-log(1 - X)]   s.t.  X supported on the grid,
                                    E[X^(i-1)] <= 1/i  for i = 1..m,
-  whose every feasible point is a valid lower bound for any grid;
 
-* an upper value from minimizing a(1)+...+a(m) subject to
-      A'(t) + log(1-t) >= 0 on a grid of [0, z),
-  re-verified on a 10x finer grid and inflated back to feasibility, so the
-  reported rate is a genuine achievable value for the discretization.
+brackets the least achievable rate r(z) over all degree distributions:
 
-Both are solved by a dense tableau simplex with Bland's rule: the problem
-sizes here (about a thousand variables against at most a dozen constraints,
-or the transpose) are trivial for dense methods, and the solver stays
+* its primal solution, scaled down until every moment row holds exactly in
+  float64, is a feasible point whose value bounds r(z) from below for any
+  grid;
+
+* its row prices y(i) are the optimum of the dual LP
+      min  a(1)+...+a(m)   s.t.  A'(t) + log(1-t) >= 0 on the grid,
+  with a(i) = y(i)/i and A(t) = sum a(i) t^i. That design is re-verified on
+  a 10x finer grid and inflated back to feasibility, so the reported rate is
+  a genuine achievable value for the discretization.
+
+The LP is solved by a dense tableau simplex with Bland's rule: the problem
+sizes here (about a thousand variables against at most a hundred
+constraints) are trivial for dense methods, and the solver stays
 dependency-free and bit-reproducible.
 """
 
@@ -38,21 +42,23 @@ DEFAULT_LP_GRID_STEP = 1e-3
 # verification grid of primal_min_r is ten times finer
 MAX_LP_GRID_POINTS = 10**5
 
+# most moment rows, m = max_useful_degree(z), the LP may have: z up to
+# 64/65. At grid 1e-3 a solve took 7.5 s at m = 49 and 16 s at m = 64, but
+# 45 s at m = 80 (2 vCPUs), and the rows grow like 1/(1 - z) towards z = 1
+MAX_LP_DEGREE = 64
+
 STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Dense LP: optimize objective . x subject to row relations and x >= 0."""
+    """Dense LP: maximize objective . x subject to A x <= b, x >= 0, b >= 0."""
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
     constraint_rhs: np.ndarray
-    sense: str = "maximize"
-    row_relations: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         c = np.asarray(self.objective, dtype=np.float64)
@@ -64,18 +70,11 @@ class LpProblem:
             raise ValueError(f"inconsistent dimensions A{A.shape}, c({c.size}), b({b.size})")
         if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("all LP entries must be finite")
-        if self.sense not in ("maximize", "minimize"):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        relations = self.row_relations or tuple("<=" for _ in range(b.size))
-        if len(relations) != b.size:
-            raise ValueError("one row relation per constraint required")
-        for rel in relations:
-            if rel not in ("<=", ">=", "="):
-                raise ValueError(f"unknown row relation {rel!r}")
+        if (b < 0.0).any():
+            raise ValueError("constraint_rhs must be >= 0, so that x = 0 is feasible")
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "constraint_matrix", A)
         object.__setattr__(self, "constraint_rhs", b)
-        object.__setattr__(self, "row_relations", tuple(relations))
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,8 @@ class LpSolution:
     dual_values: np.ndarray | None = None
 
 
-def _bland_entering(obj_row: np.ndarray, allowed: np.ndarray) -> int | None:
-    candidates = np.nonzero(allowed & (obj_row < -PIVOT_TOL))[0]
+def _bland_entering(obj_row: np.ndarray) -> int | None:
+    candidates = np.nonzero(obj_row < -PIVOT_TOL)[0]
     return int(candidates[0]) if candidates.size else None
 
 
@@ -116,153 +115,49 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSolution:
-    """Two-phase dense simplex with Bland's rule.
+    """Dense simplex with Bland's rule, started from the all-slack basis.
 
-    Deterministic given the input. On status 'optimal' the solution is primal
-    feasible within FEASIBILITY_TOL and no improving pivot exists; the
-    objective value is reported in the problem's own sense. dual_values holds
-    one multiplier per constraint row (prices of the canonical <=/=/>= form).
+    b >= 0 makes x = 0 feasible, so one phase suffices. Deterministic given
+    the input. On status 'optimal' the solution is primal feasible within
+    FEASIBILITY_TOL and no improving pivot exists; dual_values holds one
+    price per constraint row, none below -PIVOT_TOL.
     """
-    c_orig = problem.objective
-    A = problem.constraint_matrix.copy()
-    b = problem.constraint_rhs.copy()
-    relations = list(problem.row_relations)
-    n = c_orig.size
-    m = b.size
-    flip_obj = problem.sense == "minimize"
-    c = -c_orig if flip_obj else c_orig.copy()
-
-    # canonicalize: nonnegative rhs everywhere
-    row_sign = np.ones(m)
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            row_sign[i] = -1.0
-            if relations[i] == "<=":
-                relations[i] = ">="
-            elif relations[i] == ">=":
-                relations[i] = "<="
-
-    # columns: n structural, then one slack/surplus per inequality row,
-    # then artificials for >=/= rows
-    slack_col = [-1] * m
-    art_col = [-1] * m
-    ncols = n
-    for i in range(m):
-        if relations[i] in ("<=", ">="):
-            slack_col[i] = ncols
-            ncols += 1
-    art_rows = [i for i in range(m) if relations[i] in (">=", "=")]
-    for i in art_rows:
-        art_col[i] = ncols
-        ncols += 1
-
-    tableau = np.zeros((m + 1, ncols + 1))
+    c, A = problem.objective, problem.constraint_matrix
+    m, n = A.shape
+    tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = A
-    tableau[:m, -1] = b
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        if relations[i] == "<=":
-            tableau[i, slack_col[i]] = 1.0
-            basis[i] = slack_col[i]
-        elif relations[i] == ">=":
-            tableau[i, slack_col[i]] = -1.0
-            tableau[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-        else:
-            tableau[i, art_col[i]] = 1.0
-            basis[i] = art_col[i]
-
-    is_artificial = np.zeros(ncols, dtype=bool)
-    for i in art_rows:
-        is_artificial[art_col[i]] = True
+    tableau[:m, n:-1] = np.eye(m)
+    tableau[:m, -1] = problem.constraint_rhs
+    tableau[-1, :n] = -c
+    basis = np.arange(n, n + m)
     iterations = 0
+    status = STATUS_OPTIMAL
+    while (col := _bland_entering(tableau[-1, :-1])) is not None:
+        row = _bland_leaving(tableau, col, basis)
+        if row is None:
+            status = STATUS_UNBOUNDED
+            break
+        iterations += 1
+        if iterations > max_iterations:
+            status = STATUS_ITERATION_LIMIT
+            break
+        _pivot(tableau, basis, row, col)
 
-    def run_phase(allowed: np.ndarray) -> str:
-        nonlocal iterations
-        while True:
-            col = _bland_entering(tableau[-1, :-1], allowed)
-            if col is None:
-                return STATUS_OPTIMAL
-            row = _bland_leaving(tableau, col, basis)
-            if row is None:
-                return STATUS_UNBOUNDED
-            iterations += 1
-            if iterations > max_iterations:
-                return STATUS_ITERATION_LIMIT
-            _pivot(tableau, basis, row, col)
-
-    def set_objective_row(costs: np.ndarray) -> None:
-        tableau[-1, :] = 0.0
-        tableau[-1, :-1] = -costs
-        for i in range(m):
-            cb = costs[basis[i]]
-            if cb != 0.0:
-                tableau[-1] += cb * tableau[i]
-
-    def extract() -> tuple[np.ndarray, np.ndarray]:
-        x_full = np.zeros(ncols)
-        x_full[basis] = tableau[:m, -1]
-        duals = np.empty(m)
-        for i in range(m):
-            ref = slack_col[i] if slack_col[i] >= 0 else art_col[i]
-            price = tableau[-1, ref]
-            if slack_col[i] >= 0 and relations[i] == ">=":
-                price = -price
-            duals[i] = price * row_sign[i]
-        if flip_obj:
-            duals = -duals
-        return x_full[:n], duals
-
-    def finish(status: str) -> LpSolution:
-        x, duals = extract()
-        value = float(np.dot(c_orig, x))
-        if status == STATUS_OPTIMAL:
-            residual = problem.constraint_matrix @ x - problem.constraint_rhs
-            for i, rel in enumerate(problem.row_relations):
-                bad = (
-                    (rel == "<=" and residual[i] > FEASIBILITY_TOL)
-                    or (rel == ">=" and residual[i] < -FEASIBILITY_TOL)
-                    or (rel == "=" and abs(residual[i]) > FEASIBILITY_TOL)
-                )
-                if bad:
-                    raise RuntimeError(
-                        f"reported optimum violates row {i} by {float(residual[i])!r}"
-                    )
-        return LpSolution(
-            status=status,
-            objective_value=value,
-            variable_values=x,
-            iterations=iterations,
-            dual_values=duals if status == STATUS_OPTIMAL else None,
-        )
-
-    if art_rows:
-        phase1_costs = np.where(is_artificial, -1.0, 0.0)
-        set_objective_row(phase1_costs)
-        status = run_phase(np.ones(ncols, dtype=bool))
-        if status == STATUS_ITERATION_LIMIT:
-            return finish(status)
-        if tableau[-1, -1] < -1e-7:
-            return LpSolution(
-                status=STATUS_INFEASIBLE,
-                objective_value=math.nan,
-                variable_values=np.zeros(n),
-                iterations=iterations,
-            )
-        # pivot lingering zero-level artificials out of the basis when possible
-        for i in range(m):
-            if is_artificial[basis[i]]:
-                real = np.nonzero(~is_artificial[:ncols] & (np.abs(tableau[i, :-1]) > PIVOT_TOL))[0]
-                if real.size:
-                    _pivot(tableau, basis, i, int(real[0]))
-
-    costs = np.zeros(ncols)
-    costs[:n] = c
-    set_objective_row(costs)
-    status = run_phase(~is_artificial)
-    return finish(status)
+    x_full = np.zeros(n + m)
+    x_full[basis] = tableau[:m, -1]
+    x = x_full[:n]
+    if status == STATUS_OPTIMAL:
+        residual = A @ x - problem.constraint_rhs
+        if (residual > FEASIBILITY_TOL).any():
+            i = int(np.argmax(residual > FEASIBILITY_TOL))
+            raise RuntimeError(f"reported optimum violates row {i} by {float(residual[i])!r}")
+    return LpSolution(
+        status=status,
+        objective_value=float(np.dot(c, x)),
+        variable_values=x,
+        iterations=iterations,
+        dual_values=tableau[-1, n:-1].copy() if status == STATUS_OPTIMAL else None,
+    )
 
 
 # --- rate bounds ---
@@ -276,19 +171,24 @@ def validate_grid_step(grid_step: float) -> None:
         )
 
 
+def validate_target(z: float, grid_step: float) -> None:
+    """Reject z outside (0, 1) or needing over MAX_LP_DEGREE rows, or a bad grid step."""
+    if not 0.0 < z < 1.0:
+        raise ValueError(f"z must lie in (0, 1), got {z!r}")
+    m = max_useful_degree(z)
+    if m > MAX_LP_DEGREE:
+        raise ValueError(
+            f"z={z!r} needs {m} moment rows, above MAX_LP_DEGREE = {MAX_LP_DEGREE}"
+        )
+    validate_grid_step(grid_step)
+
+
 def _grid_closed(z: float, grid_step: float) -> np.ndarray:
     """Grid points j*grid_step inside [0, z), with z appended as final point."""
     pts = np.arange(0.0, z, grid_step)
     if pts.size and z - pts[-1] <= 1e-12:
         pts = pts[:-1]
     return np.append(pts, z)
-
-
-def _grid_half_open(z: float, grid_step: float) -> np.ndarray:
-    """Grid points j*grid_step with 0 <= j*grid_step < z."""
-    n = int(math.floor(z / grid_step - 1e-12)) + 1
-    pts = np.arange(n) * grid_step
-    return pts[pts < z]
 
 
 def build_outer_bound_problem(
@@ -302,6 +202,30 @@ def build_outer_bound_problem(
     rhs = np.array([1.0 / i for i in range(1, m + 1)])
     problem = LpProblem(objective=objective, constraint_matrix=rows, constraint_rhs=rhs)
     return problem, xs
+
+
+def _solve_moment_lp(
+    z: float, grid_step: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the moment LP; returns (certified value, grid, masses, row prices).
+
+    The masses are the optimum scaled down until every moment row holds
+    exactly in float64, and the value is theirs, so it is a lower bound on
+    r(z) without the simplex's feasibility tolerance.
+    """
+    validate_target(z, grid_step)
+    problem, xs = build_outer_bound_problem(z, grid_step)
+    solution = simplex_solve(problem)
+    if solution.status != STATUS_OPTIMAL:
+        raise RuntimeError(f"moment LP ended with status {solution.status}")
+    A, b = problem.constraint_matrix, problem.constraint_rhs
+    masses = solution.variable_values
+    moments = A @ masses
+    while (over := moments > b).any():
+        masses = masses * np.nextafter(float(np.min(b[over] / moments[over])), 0.0)
+        moments = A @ masses
+    value = float(np.dot(problem.objective, masses))
+    return value, xs, masses, solution.dual_values
 
 
 def dual_outer_bound(z: float, grid_step: float = DEFAULT_LP_GRID_STEP) -> float:
@@ -318,69 +242,44 @@ def dual_outer_bound(z: float, grid_step: float = DEFAULT_LP_GRID_STEP) -> float
 def dual_outer_bound_details(
     z: float, grid_step: float = DEFAULT_LP_GRID_STEP
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Outer bound plus the optimizing grid masses, for support inspection."""
-    if not 0.0 < z <= 1.0 - 1e-9:
-        raise ValueError(f"z must lie in (0, 1 - 1e-9], got {z!r}")
-    validate_grid_step(grid_step)
-    problem, xs = build_outer_bound_problem(z, grid_step)
-    solution = simplex_solve(problem)
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"outer bound LP ended with status {solution.status}")
-    return solution.objective_value, xs, solution.variable_values
+    """Outer bound plus the grid and the feasible masses that give it."""
+    value, xs, masses, _ = _solve_moment_lp(z, grid_step)
+    return value, xs, masses
 
 
 def primal_min_r(
-    z: float,
-    constraint_grid_step: float = DEFAULT_LP_GRID_STEP,
-    support_limit: int | None = None,
+    z: float, grid_step: float = DEFAULT_LP_GRID_STEP
 ) -> tuple[DegreeDistribution, float]:
     """Cheapest distribution (on the grid) achieving recovery fraction z.
 
-    Minimizes a(1)+...+a(m) over a(i) >= 0 subject to
-    A'(t) + log(1-t) >= 0 at every grid point of [0, z), where
-    A(t) = sum a(i) t^i. Solved through its transpose (m constraints against
-    ~z/step variables); the a(i) are recovered as the transpose's constraint
-    prices. Because dropping constraints can let the discretized value dip
-    below the true rate, the constraint is re-checked on a 10x finer grid and
-    the solution is scaled up by the smallest factor restoring feasibility.
-    Unless support_limit is given, the support is capped at
-    m = max_useful_degree(z), so at z = 1/2 the design is all degree 1, as
-    optimal_distribution documents.
+    Minimizes a(1)+...+a(m) over a(i) >= 0 subject to A'(t) + log(1-t) >= 0
+    at every point of the moment LP's grid of [0, z], where
+    A(t) = sum a(i) t^i and m = max_useful_degree(z). That LP is the dual of
+    the moment LP, so a(i) = y(i)/i from the moment LP's row prices y(i);
+    at z = 1/2, m = 1 and the design is all degree 1, as
+    optimal_distribution documents. Because the grid leaves out the points
+    between its own, the constraint is re-checked on a 10x finer grid, and
+    the design is scaled up by the smallest factor restoring feasibility
+    there and bringing its rate up to the certified lower bound.
 
     Returns (distribution with P(i) = a(i)/r, r = sum a(i)).
     """
-    if not 0.0 < z < 1.0 - 1e-12:
-        raise ValueError(f"z must lie in (0, 1), got {z!r}")
-    validate_grid_step(constraint_grid_step)
-    if z <= constraint_grid_step:
-        raise ValueError("z must exceed the constraint grid step")
-    m = support_limit if support_limit is not None else max_useful_degree(z)
-    if m < 1:
-        raise ValueError("support_limit must be >= 1")
+    lower, _, _, prices = _solve_moment_lp(z, grid_step)
+    y = np.clip(prices, 0.0, None)
+    degrees = np.arange(1, y.size + 1)
 
-    ts = _grid_half_open(z, constraint_grid_step)
-    targets = -np.log1p(-ts)
-    # transpose problem: max targets . y  s.t.  sum_j y_j * i * t_j^(i-1) <= 1
-    rows = np.vstack([i * ts ** (i - 1) for i in range(1, m + 1)])
-    problem = LpProblem(objective=targets, constraint_matrix=rows, constraint_rhs=np.ones(m))
-    solution = simplex_solve(problem)
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"rate LP ended with status {solution.status}")
-    a = np.clip(solution.dual_values, 0.0, None)
-
-    # re-verify on the closure [0, z]: the constraint is continuous, so
-    # feasibility on [0, z) and on [0, z] coincide, and the closed endpoint
-    # is where the binding ratio peaks
-    fine = _grid_closed(z, constraint_grid_step / 10.0)[1:]  # t = 0 needs no rate
-    degrees = np.arange(1, m + 1)
-    deriv = _power_sum(degrees - 1, a * degrees, fine)
+    # the constraint at t = 0 needs no rate
+    fine = _grid_closed(z, grid_step / 10.0)[1:]
+    deriv = _power_sum(degrees - 1, y, fine)
     needed = -np.log1p(-fine)
     ratio = np.where(deriv > 0.0, needed / np.maximum(deriv, 1e-300), np.inf)
     factor = max(1.0, float(ratio.max()))
     if not math.isfinite(factor):
-        raise RuntimeError("rate LP produced an empty design")
-    a = a * factor
-    r = float(a.sum())
+        raise RuntimeError("moment LP gave an empty design")
+    a = y / degrees
+    a = a * max(factor, lower / float(a.sum()))
+    # scaling a feasible design up keeps it feasible; max() covers rounding
+    r = max(float(a.sum()), lower)
     masses = {int(i): float(a[i - 1] / r) for i in degrees if a[i - 1] / r > 1e-15}
     dist = DegreeDistribution.from_mapping(masses, label=f"lp_design(z={z:g})")
     return dist, r

@@ -33,6 +33,11 @@ RECEIVE_MODELS = ("deterministic_n", "poisson_n")
 # cap on n = r*k, the coded symbols of one trial; the encoder holds about
 # 1.3 kB per symbol at mean degree 19, so a trial at the cap takes ~1.3 GB
 MAX_SYMBOLS = 10**6
+# caps on k, the inputs of one trial, and on the payload bytes per symbol;
+# with MAX_SYMBOLS they hold a trial's payloads to (MAX_K + MAX_SYMBOLS) *
+# MAX_SYMBOL_BYTES bytes, about 512 MB
+MAX_K = 10**6
+MAX_SYMBOL_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.k > MAX_K:
+            raise ValueError(f"k={self.k} above the cap of MAX_K = {MAX_K}")
         if self.k < self.distribution.max_degree:
             raise ValueError(
                 f"k={self.k} smaller than max support degree "
@@ -63,8 +70,11 @@ class SimulationConfig:
                 )
         if self.receive_model not in RECEIVE_MODELS:
             raise ValueError(f"unknown receive model {self.receive_model!r}")
-        if self.symbol_bytes < 1:
-            raise ValueError("symbol_bytes must be >= 1")
+        if not 1 <= self.symbol_bytes <= MAX_SYMBOL_BYTES:
+            raise ValueError(
+                f"symbol_bytes={self.symbol_bytes} outside "
+                f"[1, MAX_SYMBOL_BYTES = {MAX_SYMBOL_BYTES}]"
+            )
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
 
     def digest(self) -> str:

@@ -9,10 +9,8 @@ max_useful_degree takes the smaller degree at z = m/(m+1), so
 max_useful_degree(0.5) == 1 and primal_min_r has no degree-2 variable there;
 optimal_distribution returns the degree-one form for the same z. The support
 check follows that rule, giving {1} at z = 1/2 and {2} on (1/2, 2/3].
-Only when support_limit >= 2 is passed does degree 2 enter the LP at
-z = 1/2; the half-open grid [0, z) then favours degree 1, because covering
-its largest point t* < 1/2 costs -log(1-t*) directly and -log(1-t*)/(2t*)
-through degree 2.
+The design comes from the prices of the moment LP, whose grid closes at z,
+so degree 2 wins as soon as z > 1/2.
 """
 
 import math

@@ -2,11 +2,17 @@ import math
 
 import pytest
 
-from fountain_lab import DegreeDistribution, limiting_soliton, write_distribution
+from fountain_lab import DegreeDistribution, cli, limiting_soliton, lp_bounds, write_distribution
 from fountain_lab.asymptotics import MAX_GRID_POINTS, validate_grid
 from fountain_lab.cli import main
 from fountain_lab.degree_dist import MAX_DEGREE
-from fountain_lab.lp_bounds import MAX_LP_GRID_POINTS, validate_grid_step
+from fountain_lab.lp_bounds import (
+    MAX_LP_DEGREE,
+    MAX_LP_GRID_POINTS,
+    validate_grid_step,
+    validate_target,
+)
+from fountain_lab.sim_harness import MAX_K, MAX_SYMBOL_BYTES
 
 
 def run_cli(capsys, *argv):
@@ -255,3 +261,45 @@ def test_degree_cap_before_output(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert_rejected_before_output(code, out, err)
     assert "MAX_DEGREE" in err
+
+
+# z/(1-z) = MAX_LP_DEGREE + 0.5, so the moment LP needs MAX_LP_DEGREE + 1 rows
+OVER_LP_CAP_Z = repr(1.0 - 1.0 / (MAX_LP_DEGREE + 1.5))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--z", "0.999999"],
+    ["bound", "--z", OVER_LP_CAP_Z],
+    ["bound", "--z", "0.6", "--z", OVER_LP_CAP_Z],
+])
+def test_lp_degree_cap_before_output(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment LP built above the degree cap")
+
+    monkeypatch.setattr(lp_bounds, "build_outer_bound_problem", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert_rejected_before_output(code, out, err)
+    assert "MAX_LP_DEGREE" in err
+
+
+def test_lp_degree_cap_keeps_the_paper_range():
+    validate_target(0.98, 1e-3)
+    validate_target(1.0 - 1.0 / (MAX_LP_DEGREE + 0.5), 1e-3)
+    with pytest.raises(ValueError, match="MAX_LP_DEGREE"):
+        validate_target(float(OVER_LP_CAP_Z), 1e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1000000000", "--r", "1e-6"],
+    ["--k", str(MAX_K + 1), "--r", "1e-6"],
+    ["--k", "1000", "--r", "0.5", "--symbol-bytes", "1000000000"],
+    ["--k", "1000", "--r", "0.5", "--symbol-bytes", str(MAX_SYMBOL_BYTES + 1)],
+])
+def test_simulate_caps_k_and_symbol_bytes_before_output(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started above the k or symbol_bytes cap")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--degree1", *argv)
+    assert_rejected_before_output(code, out, err)
+    assert "MAX_K" in err or "MAX_SYMBOL_BYTES" in err

@@ -17,7 +17,7 @@ from fountain_lab import (
     trial_seed,
     write_result_csv,
 )
-from fountain_lab.sim_harness import MAX_SYMBOLS
+from fountain_lab.sim_harness import MAX_K, MAX_SYMBOL_BYTES, MAX_SYMBOLS
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0}, label="degree1")
 
@@ -42,6 +42,20 @@ def test_config_validation():
 def test_config_rejects_non_finite_or_oversized_rate(r):
     with pytest.raises(ValueError):
         SimulationConfig(distribution=DEG1, k=10**4, r_values=(0.5, r), trials=1)
+
+
+@pytest.mark.parametrize("k, symbol_bytes", [(10**9, 1), (MAX_K + 1, 1),
+                                               (1000, 10**9), (1000, MAX_SYMBOL_BYTES + 1)])
+def test_config_caps_k_and_symbol_bytes(k, symbol_bytes):
+    with pytest.raises(ValueError):
+        SimulationConfig(distribution=DEG1, k=k, r_values=(1e-6,), trials=1,
+                         symbol_bytes=symbol_bytes)
+
+
+def test_config_accepts_k_and_symbol_bytes_at_caps():
+    config = SimulationConfig(distribution=DEG1, k=MAX_K, r_values=(1e-6,), trials=1,
+                              symbol_bytes=MAX_SYMBOL_BYTES)
+    assert (config.k, config.symbol_bytes) == (MAX_K, MAX_SYMBOL_BYTES)
 
 
 def test_config_accepts_rate_at_symbol_cap():
