@@ -31,13 +31,10 @@ from .asymptotics import (
 from .lp_bounds import (
     BoundCurve,
     BoundRow,
-    LpProblem,
-    LpSolution,
     dual_outer_bound,
     dual_outer_bound_details,
     outer_bound_curve,
     primal_min_r,
-    simplex_solve,
 )
 from .lt_codec import (
     CodedSymbol,
@@ -45,15 +42,12 @@ from .lt_codec import (
     decode,
     encode,
     read_symbols,
-    residual_degree_histogram,
     write_symbols,
 )
 from .sim_harness import (
-    ConvergenceRow,
     SimulationConfig,
     SimulationResult,
     SweepRow,
-    convergence_report,
     run_trial,
     sweep,
     trial_seed,
@@ -83,25 +77,19 @@ __all__ = [
     "s_of_r",
     "BoundCurve",
     "BoundRow",
-    "LpProblem",
-    "LpSolution",
     "dual_outer_bound",
     "dual_outer_bound_details",
     "outer_bound_curve",
     "primal_min_r",
-    "simplex_solve",
     "CodedSymbol",
     "DecoderState",
     "decode",
     "encode",
     "read_symbols",
-    "residual_degree_histogram",
     "write_symbols",
-    "ConvergenceRow",
     "SimulationConfig",
     "SimulationResult",
     "SweepRow",
-    "convergence_report",
     "run_trial",
     "sweep",
     "trial_seed",

@@ -4,7 +4,12 @@ Encoding: each output symbol independently samples a degree d from the
 configured distribution, picks a uniform d-subset of the k inputs, and XORs
 their payloads. Decoding: repeatedly take a symbol whose residual degree is
 one, recover its remaining input, and cancel that input out of every other
-symbol containing it; stop when no degree-one symbols remain.
+symbol containing it; stop when no degree-one symbols remain. The decoder
+releases degree-one symbols in one order, last in first out. The order does
+not change the result: the inputs left unrecovered form the largest stopping
+set of the received graph, which is the same for every release order (Di,
+Proietti, Telatar, Richardson & Urbanke, IEEE Trans. IT 48, 2002), and when
+each payload is the XOR of its inputs, each recovered value is that input.
 
 Randomness is a SplitMix64 stream per output symbol: symbol i draws from
 SplitMix64 seeded with seed_i = mix64(seed + (i+1) * gamma), gamma =
@@ -18,7 +23,6 @@ the draws of a whole block of symbols as one numpy uint64 expression.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -308,10 +312,8 @@ class DecoderState:
     def __init__(self, symbols: Sequence[CodedSymbol], k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.k = k
-        self.symbols = list(symbols)
         size = None
-        for sym in self.symbols:
+        for sym in symbols:
             if sym.neighbors[-1] >= k:
                 raise ValueError(f"symbol references input {sym.neighbors[-1]} >= k={k}")
             if size is None:
@@ -324,11 +326,11 @@ class DecoderState:
         self.decoded_count = 0
         self.edge_removals = 0
 
-        self.residual_degree = [sym.degree for sym in self.symbols]
-        self.neighbor_xor = [0] * len(self.symbols)
-        self.residual_payload = [0] * len(self.symbols)
+        self.residual_degree = [sym.degree for sym in symbols]
+        self.neighbor_xor = [0] * len(symbols)
+        self.residual_payload = [0] * len(symbols)
         self.edges: list[list[int]] = [[] for _ in range(k)]
-        for s, sym in enumerate(self.symbols):
+        for s, sym in enumerate(symbols):
             self.residual_payload[s] = int.from_bytes(sym.payload, "big")
             acc = 0
             for v in sym.neighbors:
@@ -337,23 +339,15 @@ class DecoderState:
             self.neighbor_xor[s] = acc
         self.ripple = [s for s, d in enumerate(self.residual_degree) if d == 1]
 
-    def run(self, ripple_order: str = "lifo") -> None:
-        """Peel to fixpoint. The decoded set does not depend on the order."""
-        if ripple_order not in ("lifo", "fifo"):
-            raise ValueError(f"unknown ripple order {ripple_order!r}")
+    def run(self) -> None:
+        """Peel to fixpoint, releasing the newest degree-one symbol first."""
         ripple = self.ripple
-        take_last = ripple_order == "lifo"
         degree = self.residual_degree
         nxor = self.neighbor_xor
         payload = self.residual_payload
         recovered = self.recovered
-        head = 0
-        while head < len(ripple):
-            if take_last:
-                s = ripple.pop()
-            else:
-                s = ripple[head]
-                head += 1
+        while ripple:
+            s = ripple.pop()
             if degree[s] != 1:
                 continue
             v = nxor[s]
@@ -367,34 +361,15 @@ class DecoderState:
                 self.edge_removals += 1
                 if degree[other] == 1:
                     ripple.append(other)
-        if not take_last:
-            del ripple[:]
-
-    def recovered_values(self) -> list[bytes | None]:
-        size = self.payload_size
-        return [
-            None if v is None else v.to_bytes(size, "big") for v in self.recovered
-        ]
-
-    def residual_neighbor_set(self, symbol_index: int) -> frozenset[int]:
-        """Reconstruct a residual neighbor set (diagnostics; not the hot path)."""
-        sym = self.symbols[symbol_index]
-        return frozenset(v for v in sym.neighbors if self.recovered[v] is None)
 
 
-def decode(
-    symbols: Sequence[CodedSymbol], k: int, ripple_order: str = "lifo"
-) -> tuple[list[bytes | None], int]:
+def decode(symbols: Sequence[CodedSymbol], k: int) -> tuple[list[bytes | None], int]:
     """Peel the received symbols; returns (per-input values or None, count)."""
     state = DecoderState(symbols, k)
-    state.run(ripple_order)
-    return state.recovered_values(), state.decoded_count
-
-
-def residual_degree_histogram(state: DecoderState) -> dict[int, int]:
-    """Counts of residual degrees among undepleted symbols (degree 0 excluded)."""
-    counts = Counter(d for d in state.residual_degree if d > 0)
-    return dict(sorted(counts.items()))
+    state.run()
+    size = state.payload_size
+    values = [None if v is None else v.to_bytes(size, "big") for v in state.recovered]
+    return values, state.decoded_count
 
 
 # --- fixture text format: one symbol per line, "idx1,idx2,...<TAB>hex" ---

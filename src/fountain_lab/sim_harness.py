@@ -201,59 +201,6 @@ def _sweep_cell(args: tuple[SimulationConfig, float, int]) -> float:
     return run_trial(config, r, t)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    k: int
-    trials: int
-    mean_z: float
-    asymptotic_z: float
-    gap: float
-    std_err: float
-
-
-def convergence_report(
-    distribution: DegreeDistribution,
-    r: float,
-    k_values: Sequence[int],
-    trials: int,
-    receive_model: str = "deterministic_n",
-    base_seed: int = 0,
-) -> list[ConvergenceRow]:
-    """Decoded fraction against the asymptotic prediction for growing k.
-
-    The gap column should shrink with k up to statistical noise (about two
-    standard errors); that is the empirical content of the limit statement.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    target = s_of_r(r, distribution)
-    out = []
-    for k in k_values:
-        config = SimulationConfig(
-            distribution=distribution,
-            k=int(k),
-            r_values=(r,),
-            trials=trials,
-            receive_model=receive_model,
-            base_seed=base_seed,
-        )
-        zs = [run_trial(config, r, t) for t in range(trials)]
-        arr = np.asarray(zs)
-        mean = float(arr.mean())
-        stderr = float(arr.std() / math.sqrt(trials))
-        out.append(
-            ConvergenceRow(
-                k=int(k),
-                trials=trials,
-                mean_z=mean,
-                asymptotic_z=target,
-                gap=abs(mean - target),
-                std_err=stderr,
-            )
-        )
-    return out
-
-
 def write_result_csv(
     result: SimulationResult, config: SimulationConfig, dest: IO[str]
 ) -> None:

@@ -187,14 +187,18 @@ def test_analyze_rejects_bad_rates_before_header(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_bound_internal_error_prefix_once(capsys):
-    # the simplex still fails at z = 0.98 (its solution drifts off row 0);
-    # the message it gives is what this test pins
-    code, _, err = run_cli(capsys, "bound", "--z", "0.98", "--grid-step", "0.005")
-    assert code in (0, 1)
-    if code == 1:
-        assert err.count("internal error:") == 1
-        assert "np.float64(" not in err
+def test_bound_internal_error_prefix_once(capsys, monkeypatch):
+    # a solver failure, such as the simplex drifting off a row, reaches the
+    # user as one prefixed line with plain numbers
+    def drifted(problem):
+        raise RuntimeError("reported optimum violates row 0 by 6.4e-08")
+
+    monkeypatch.setattr(lp_bounds, "simplex_solve", drifted)
+    code, out, err = run_cli(capsys, "bound", "--z", "0.98", "--grid-step", "0.005")
+    assert code == 1
+    assert out == ""
+    assert err.count("internal error:") == 1
+    assert "np.float64(" not in err
 
 
 def assert_rejected_before_output(code, out, err):

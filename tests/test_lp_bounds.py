@@ -6,20 +6,21 @@ import pytest
 
 from fountain_lab import (
     BoundRow,
-    LpProblem,
     dual_outer_bound,
     dual_outer_bound_details,
     max_useful_degree,
     outer_bound_curve,
+    pgf_derivative,
     primal_min_r,
-    simplex_solve,
     truncated_soliton,
 )
 from fountain_lab.lp_bounds import (
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    LpProblem,
     build_outer_bound_problem,
+    simplex_solve,
 )
 
 
@@ -196,6 +197,19 @@ def test_bracket_is_tight_above_two_thirds():
         lower = dual_outer_bound(z, 1e-3)
         _, upper = primal_min_r(z, 1e-3)
         assert (upper - lower) / lower <= 1e-5, z
+
+
+def test_design_holds_between_check_points():
+    # a coarse grid leaves room for the margin to dip between the points
+    # of the 10x finer check grid; a million points of [0, z] would see it
+    cases = [(z, 1e-2) for z in (0.75, 0.9, 0.95, 0.96, 0.97, 0.98)]
+    cases += [(z, step) for step in (5e-3, 1e-3) for z in (0.75, 0.9, 0.95)]
+    for z, step in cases:
+        dist, r = primal_min_r(z, step)
+        ts = np.linspace(0.0, z, 10**6)
+        margin = r * pgf_derivative(dist, ts) + np.log1p(-ts)
+        worst = int(np.argmin(margin))
+        assert margin[worst] >= -1e-12, (z, step, ts[worst], margin[worst])
 
 
 def test_outer_masses_hold_every_moment_row_exactly():

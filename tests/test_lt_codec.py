@@ -1,8 +1,10 @@
 import bisect
+import functools
 import hashlib
 import io
 import itertools
 import math
+import operator
 from collections import Counter
 
 import numpy as np
@@ -16,7 +18,6 @@ from fountain_lab import (
     encode,
     ideal_soliton,
     read_symbols,
-    residual_degree_histogram,
     robust_soliton,
     write_symbols,
 )
@@ -331,13 +332,13 @@ def test_decode_rejects_out_of_range():
 
 def test_histogram_examples():
     state = DecoderState([CodedSymbol((0,), b"\x01"), CodedSymbol((0, 1), b"\x03")], 2)
-    assert residual_degree_histogram(state) == {1: 1, 2: 1}
+    assert state.residual_degree == [1, 2]
     state.run()
-    assert residual_degree_histogram(state) == {}
+    assert state.residual_degree == [0, 0]
 
     stalled = DecoderState([CodedSymbol((0, 1), b"\x06"), CodedSymbol((1, 2), b"\x0c")], 3)
     stalled.run()
-    assert residual_degree_histogram(stalled) == {2: 2}
+    assert stalled.residual_degree == [2, 2]
 
 
 def test_decode_matches_oracle():
@@ -353,14 +354,18 @@ def test_decode_matches_oracle():
 
 
 def test_decode_order_independent():
+    # the oracle re-scans symbols in index order, the decoder releases the
+    # newest degree-one symbol first: both must recover the same values
     rng = np.random.default_rng(1717)
     for _ in range(500):
         k, inputs, symbols = random_instance(rng, k_max=50, n_max=100)
-        lifo_values, lifo_count = decode(symbols, k, ripple_order="lifo")
-        fifo_values, fifo_count = decode(symbols, k, ripple_order="fifo")
-        assert lifo_count == fifo_count
-        assert lifo_values == fifo_values
-        for i, value in enumerate(lifo_values):
+        values, count = decode(symbols, k)
+        truth = oracle_decode(symbols, k)
+        assert count == len(truth)
+        assert values == [
+            truth[v].to_bytes(1, "big") if v in truth else None for v in range(k)
+        ]
+        for i, value in enumerate(values):
             if value is not None:
                 assert value == inputs[i]
 
@@ -370,7 +375,7 @@ def test_decode_xor_consistency_and_work_bound():
     k, inputs, symbols = random_instance(rng, k_max=40, n_max=80)
     state = DecoderState(symbols, k)
     state.run()
-    values = state.recovered_values()
+    values, _ = decode(symbols, k)
     depleted_edges = 0
     for idx, sym in enumerate(symbols):
         if state.residual_degree[idx] == 0:
@@ -382,16 +387,15 @@ def test_decode_xor_consistency_and_work_bound():
 
 
 def test_residual_sets_never_contain_recovered():
+    # the decoder keeps each residual set as its size and the XOR of its members
     rng = np.random.default_rng(12)
     k, _, symbols = random_instance(rng, k_max=30, n_max=60)
     state = DecoderState(symbols, k)
     state.run()
-    for idx in range(len(symbols)):
-        residual = state.residual_neighbor_set(idx)
-        assert len(residual) == state.residual_degree[idx] or state.residual_degree[idx] == 0
-        for v in residual:
-            if state.residual_degree[idx] > 0:
-                assert state.recovered[v] is None
+    for idx, sym in enumerate(symbols):
+        unrecovered = [v for v in sym.neighbors if state.recovered[v] is None]
+        assert state.residual_degree[idx] == len(unrecovered)
+        assert state.neighbor_xor[idx] == functools.reduce(operator.xor, unrecovered, 0)
 
 
 def test_full_recovery_with_overhead():

@@ -7,7 +7,6 @@ import pytest
 from fountain_lab import (
     DegreeDistribution,
     SimulationConfig,
-    convergence_report,
     ideal_soliton,
     perturb,
     robust_soliton,
@@ -163,31 +162,34 @@ def test_robust_soliton_recovers_everything_slightly_above_capacity():
     assert sum(z >= 0.99 for z in zs) > 5
 
 
-def test_convergence_report_singletons():
-    rows = convergence_report(DEG1, 0.5, [100, 400, 1600, 6400], trials=60, base_seed=31)
-    gaps = [row.gap for row in rows]
-    for a, b in zip(rows, rows[1:]):
-        assert b.gap <= a.gap + 2.0 * (a.std_err + b.std_err)
+def converged_row(dist, r, k, trials, base_seed):
+    """sweep's row for one (r, k) cell, with the asymptotic prediction."""
+    config = SimulationConfig(distribution=dist, k=k, r_values=(r,), trials=trials,
+                              base_seed=base_seed)
+    return sweep(config, annotate_asymptotic=True).rows[0]
+
+
+def test_sweep_gap_shrinks_with_k_singletons():
+    ks = [100, 400, 1600, 6400]
+    rows = [converged_row(DEG1, 0.5, k, 60, 31) for k in ks]
+    gaps = [abs(row.mean_z - row.asymptotic_z) for row in rows]
+    std_errs = [row.std_z / math.sqrt(row.trials) for row in rows]
+    for i in range(len(rows) - 1):
+        assert gaps[i + 1] <= gaps[i] + 2.0 * (std_errs[i] + std_errs[i + 1])
     assert gaps[-1] < 0.01
-    for row in rows:
-        exact = occupancy_mean(row.k, round(0.5 * row.k))
-        assert abs(row.mean_z - exact) <= 4.0 * max(row.std_err, 1e-4)
+    for k, row, std_err in zip(ks, rows, std_errs):
+        exact = occupancy_mean(k, round(0.5 * k))
+        assert abs(row.mean_z - exact) <= 4.0 * max(std_err, 1e-4)
 
 
-def test_convergence_report_perturbed_soliton():
+def test_sweep_tracks_asymptotics_perturbed_soliton():
     r, delta = 0.9, 0.01
     means = {}
     for k in (1000, 10_000):
         dist = perturb(ideal_soliton(k), delta)
-        rows = convergence_report(dist, r / (1 - delta), [k], trials=20, base_seed=17)
-        means[k] = rows[0]
+        means[k] = converged_row(dist, r / (1 - delta), k, 20, 17)
     # at the larger k the empirical mean sits near the asymptotic prediction
     assert abs(means[10_000].mean_z - means[10_000].asymptotic_z) < 0.05
-
-
-def test_convergence_report_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        convergence_report(DEG1, 0.5, [100], trials=0)
 
 
 def test_result_csv_round_trip():
