@@ -18,9 +18,12 @@ brackets the least achievable rate r(z) over all degree distributions:
   back to feasibility, so the reported rate is achievable between the check
   points too.
 
-The LP is solved by a dense tableau simplex with Bland's rule: the problem
-sizes here (about a thousand variables against at most a hundred
-constraints) are trivial for dense methods, and the solver stays
+The LP is solved by column generation, an exchange method for the
+semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
+dense tableau simplex solves it on a working set of grid points, and the
+grid points its prices undervalue most join the set, until none is left.
+The optimum has few atoms (6 to 14 up to z = 0.995), so the restricted LPs
+stay small while the grid holds up to 10^5 points; the solver stays
 dependency-free and bit-reproducible.
 """
 
@@ -44,9 +47,10 @@ DEFAULT_LP_GRID_STEP = 1e-3
 MAX_LP_GRID_POINTS = 10**5
 
 # most moment rows, m = max_useful_degree(z), the LP may have: z up to
-# 64/65. At grid 1e-3 a solve took 7.5 s at m = 49 and 16 s at m = 64, but
-# 45 s at m = 80 (2 vCPUs), and the rows grow like 1/(1 - z) towards z = 1
-MAX_LP_DEGREE = 64
+# 199/200. One solve took 0.13 s at m = 99 (z = 0.99) and 0.7 s at m = 199
+# on grid 1e-3, 0.3 s and 2.5 s on grid 1e-4, and `bound` took 10 s and
+# 206 MB at m = 199 on grid 1e-5 (2 vCPUs); m grows like 1/(1 - z)
+MAX_LP_DEGREE = 199
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
@@ -87,12 +91,16 @@ class LpSolution:
     dual_values: np.ndarray | None = None
 
 
-def _bland_entering(obj_row: np.ndarray) -> int | None:
-    candidates = np.nonzero(obj_row < -PIVOT_TOL)[0]
-    return int(candidates[0]) if candidates.size else None
+def _entering(obj_row: np.ndarray, bland: bool) -> int | None:
+    """Dantzig's most negative reduced cost, or Bland's first negative one."""
+    if bland:
+        candidates = np.nonzero(obj_row < -PIVOT_TOL)[0]
+        return int(candidates[0]) if candidates.size else None
+    col = int(np.argmin(obj_row))
+    return col if obj_row[col] < -PIVOT_TOL else None
 
 
-def _bland_leaving(tableau: np.ndarray, col: int, basis: np.ndarray) -> int | None:
+def _leaving(tableau: np.ndarray, col: int, basis: np.ndarray) -> int | None:
     column = tableau[:-1, col]
     rhs = tableau[:-1, -1]
     rows = np.nonzero(column > PIVOT_TOL)[0]
@@ -115,13 +123,22 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSolution:
-    """Dense simplex with Bland's rule, started from the all-slack basis.
+# consecutive degenerate pivots (leaving row at rhs <= PIVOT_TOL) after which
+# the entering rule turns from Dantzig's to Bland's, until a pivot moves again
+_DEGENERATE_RUN = 50
 
-    b >= 0 makes x = 0 feasible, so one phase suffices. Deterministic given
-    the input. On status 'optimal' the solution is primal feasible within
-    FEASIBILITY_TOL and no improving pivot exists; dual_values holds one
-    price per constraint row, none below -PIVOT_TOL.
+
+def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSolution:
+    """Dense simplex started from the all-slack basis.
+
+    b >= 0 makes x = 0 feasible, so one phase suffices. The entering column
+    has the most negative reduced cost (Dantzig's rule); after _DEGENERATE_RUN
+    degenerate pivots in a row it is the first negative one (Bland's rule)
+    until a pivot leaves a row with positive rhs. Bland's rule cannot cycle
+    and every other pivot raises the objective, so no basis repeats.
+    Deterministic given the input. On status 'optimal' the solution is
+    primal feasible within FEASIBILITY_TOL and no improving pivot exists;
+    dual_values holds one price per constraint row, none below -PIVOT_TOL.
     """
     c, A = problem.objective, problem.constraint_matrix
     m, n = A.shape
@@ -131,10 +148,10 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSoluti
     tableau[:m, -1] = problem.constraint_rhs
     tableau[-1, :n] = -c
     basis = np.arange(n, n + m)
-    iterations = 0
+    iterations = degenerate = 0
     status = STATUS_OPTIMAL
-    while (col := _bland_entering(tableau[-1, :-1])) is not None:
-        row = _bland_leaving(tableau, col, basis)
+    while (col := _entering(tableau[-1, :-1], degenerate >= _DEGENERATE_RUN)) is not None:
+        row = _leaving(tableau, col, basis)
         if row is None:
             status = STATUS_UNBOUNDED
             break
@@ -142,6 +159,7 @@ def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSoluti
         if iterations > max_iterations:
             status = STATUS_ITERATION_LIMIT
             break
+        degenerate = degenerate + 1 if tableau[row, -1] <= PIVOT_TOL else 0
         _pivot(tableau, basis, row, col)
 
     x_full = np.zeros(n + m)
@@ -199,7 +217,9 @@ def build_outer_bound_problem(
     xs = _grid_closed(z, grid_step)
     m = max_useful_degree(z)
     objective = -np.log1p(-xs)
-    rows = np.vstack([xs ** (i - 1) for i in range(1, m + 1)])
+    rows = np.empty((m, xs.size))
+    for i in range(1, m + 1):
+        rows[i - 1] = xs ** (i - 1)
     rhs = np.array([1.0 / i for i in range(1, m + 1)])
     problem = LpProblem(objective=objective, constraint_matrix=rows, constraint_rhs=rhs)
     return problem, xs
@@ -210,22 +230,40 @@ def _solve_moment_lp(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the moment LP; returns (certified value, grid, masses, row prices).
 
-    The masses are the optimum scaled down until every moment row holds
-    exactly in float64, and the value is theirs, so it is a lower bound on
-    r(z) without the simplex's feasibility tolerance.
+    Column generation: each round solves, from scratch, the LP restricted to
+    a working set W of grid points, then prices every grid point t by its
+    reduced cost -log(1-t) - sum y(i) t^(i-1) and adds to W each local
+    maximum of it above PIVOT_TOL. With none left, the prices y are optimal
+    for the whole grid. The masses on W, zero elsewhere, are then scaled
+    down until every moment row holds exactly in float64, and the value is
+    theirs, so it is a lower bound on r(z) without the simplex's tolerance.
     """
     validate_target(z, grid_step)
     problem, xs = build_outer_bound_problem(z, grid_step)
-    solution = simplex_solve(problem)
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"moment LP ended with status {solution.status}")
-    A, b = problem.constraint_matrix, problem.constraint_rhs
-    masses = solution.variable_values
+    c, A, b = problem.objective, problem.constraint_matrix, problem.constraint_rhs
+    exponents = np.arange(b.size)
+    # about two points per moment row, evenly spaced, the first 0 and the last z
+    working = np.zeros(xs.size, dtype=bool)
+    working[np.linspace(0, xs.size - 1, 2 * b.size + 2).astype(np.intp)] = True
+    while True:
+        cols = np.flatnonzero(working)
+        solution = simplex_solve(LpProblem(c[cols], A[:, cols], b))
+        if solution.status != STATUS_OPTIMAL:
+            raise RuntimeError(f"moment LP ended with status {solution.status}")
+        reduced = c - _power_sum(exponents, solution.dual_values, xs)
+        padded = np.concatenate(([-np.inf], reduced, [-np.inf]))
+        peaks = (reduced > PIVOT_TOL) & (reduced >= padded[:-2]) & (reduced >= padded[2:])
+        peaks &= ~working
+        if not peaks.any():
+            break
+        working |= peaks
+    masses = np.zeros(xs.size)
+    masses[cols] = solution.variable_values
     moments = A @ masses
     while (over := moments > b).any():
         masses = masses * np.nextafter(float(np.min(b[over] / moments[over])), 0.0)
         moments = A @ masses
-    value = float(np.dot(problem.objective, masses))
+    value = float(np.dot(c, masses))
     return value, xs, masses, solution.dual_values
 
 

@@ -187,6 +187,14 @@ def test_analyze_rejects_bad_rates_before_header(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_bound_solves_where_the_whole_grid_simplex_failed(capsys):
+    code, out, err = run_cli(capsys, "bound", "--z", "0.98", "--grid-step", "0.005")
+    assert code == 0, err
+    row = csv_rows(out)[0]
+    assert int(row["m"]) == 49
+    assert float(row["r_lower"]) <= float(row["r_upper"])
+
+
 def test_bound_internal_error_prefix_once(capsys, monkeypatch):
     # a solver failure, such as the simplex drifting off a row, reaches the
     # user as one prefixed line with plain numbers

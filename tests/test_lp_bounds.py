@@ -14,11 +14,14 @@ from fountain_lab import (
     primal_min_r,
     truncated_soliton,
 )
+from fountain_lab.degree_dist import _power_sum
 from fountain_lab.lp_bounds import (
+    PIVOT_TOL,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     LpProblem,
+    _solve_moment_lp,
     build_outer_bound_problem,
     simplex_solve,
 )
@@ -69,6 +72,20 @@ def test_simplex_rejects_negative_rhs():
         LpProblem(objective=np.array([1.0]),
                   constraint_matrix=np.array([[1.0], [1.0]]),
                   constraint_rhs=np.array([1.0, -1e-12]))
+
+
+def test_simplex_solves_beales_cycling_example():
+    # Dantzig's rule alone cycles through six degenerate bases here forever;
+    # the switch to Bland's rule after a run of degenerate pivots ends it
+    p = LpProblem(objective=np.array([0.75, -20.0, 0.5, -6.0]),
+                  constraint_matrix=np.array([[0.25, -8.0, -1.0, 9.0],
+                                              [0.5, -12.0, -0.5, 3.0],
+                                              [0.0, 0.0, 1.0, 0.0]]),
+                  constraint_rhs=np.array([0.0, 0.0, 1.0]))
+    sol = simplex_solve(p)
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
+    assert sol.variable_values == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_simplex_against_scipy_oracle():
@@ -204,6 +221,7 @@ def test_design_holds_between_check_points():
     # of the 10x finer check grid; a million points of [0, z] would see it
     cases = [(z, 1e-2) for z in (0.75, 0.9, 0.95, 0.96, 0.97, 0.98)]
     cases += [(z, step) for step in (5e-3, 1e-3) for z in (0.75, 0.9, 0.95)]
+    cases += [(0.985, 1e-2), (0.99, 5e-3)]
     for z, step in cases:
         dist, r = primal_min_r(z, step)
         ts = np.linspace(0.0, z, 10**6)
@@ -223,13 +241,29 @@ def test_outer_masses_hold_every_moment_row_exactly():
 
 def test_moment_lp_against_scipy_oracle():
     scipy_opt = pytest.importorskip("scipy.optimize")
-    for z in (0.75, 0.9, 0.95):
-        problem, _ = build_outer_bound_problem(z, 1e-3)
+    cases = [(z, 1e-3) for z in (0.75, 0.9, 0.95, 0.975, 0.98, 0.985, 0.99, 0.995)]
+    cases += [(0.98, 5e-3), (0.985, 1e-2)]
+    for z, step in cases:
+        problem, _ = build_outer_bound_problem(z, step)
         ref = scipy_opt.linprog(-problem.objective, A_ub=problem.constraint_matrix,
                                 b_ub=problem.constraint_rhs, bounds=(0, None),
                                 method="highs")
         assert ref.status == 0
-        assert dual_outer_bound(z, 1e-3) == pytest.approx(-ref.fun, abs=1e-7), z
+        assert dual_outer_bound(z, step) == pytest.approx(-ref.fun, abs=1e-7), (z, step)
+
+
+def test_column_generation_prices_hold_on_the_whole_grid():
+    # the rounds stop only when no grid point outside the working set has a
+    # positive reduced cost; at the final prices none has one anywhere, and
+    # the prices' value b.y is the LP value (strong duality)
+    cases = ((0.75, 1e-3), (0.95, 1e-4), (0.98, 5e-3), (0.985, 1e-2), (0.99, 5e-3), (0.99, 1e-3))
+    for z, step in cases:
+        value, xs, masses, prices = _solve_moment_lp(z, step)
+        problem, _ = build_outer_bound_problem(z, step)
+        reduced = problem.objective - _power_sum(np.arange(prices.size), prices, xs)
+        assert reduced.max() <= PIVOT_TOL, (z, step, xs[np.argmax(reduced)])
+        assert float(problem.constraint_rhs @ prices) == pytest.approx(value, abs=1e-9), (z, step)
+        assert np.count_nonzero(masses) <= problem.constraint_rhs.size  # a basic solution
 
 
 def test_weak_duality_everywhere():
