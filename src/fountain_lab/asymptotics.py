@@ -55,6 +55,47 @@ def validate_grid(grid_step: float, refine_tol: float | None = None) -> None:
         raise ValueError(f"refine_tol must lie in (0, grid_step], got {refine_tol!r}")
 
 
+def _grid_closed(z: float, grid_step: float) -> np.ndarray:
+    """Grid points j*grid_step inside [0, z), with z appended as final point."""
+    pts = np.arange(0.0, z, grid_step)
+    if pts.size and z - pts[-1] <= 1e-12:
+        pts = pts[:-1]
+    return np.append(pts, z)
+
+
+def _rate_ratio(t, deriv):
+    """-log(1-t) / deriv, the least rate whose margin holds at t; inf where deriv <= 0."""
+    return np.where(deriv > 0.0, -np.log1p(-t) / np.maximum(deriv, 1e-300), np.inf)
+
+
+# golden-section steps per refined peak; each shrinks the bracket (two grid
+# cells) by 0.618, so 25 steps leave 6e-6 of it: 1e-9 wide at r_of_z's
+# default step, 1e-8 on the LP design's check grid. A smooth peak is flat to
+# second order, so the value found is then exact to rounding
+_GOLDEN_STEPS = 25
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo, hi) -> float:
+    """Largest f seen by golden-section search for its peak inside [lo, hi].
+
+    lo, hi: scalars, or arrays of brackets searched at once; f maps points
+    to values of their shape. It sees two interior points, then one a step.
+    """
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    best = max(float(np.max(fc)), float(np.max(fd)))
+    for _ in range(_GOLDEN_STEPS):
+        left = fc >= fd  # the peak lies in [lo, d]; else in [c, hi]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        t = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+        ft = f(t)
+        best = max(best, float(np.max(ft)))
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
+    return best
+
+
 def _crossing(
     r: float, dist: DegreeDistribution, grid_step: float, refine_tol: float
 ) -> tuple[float, np.ndarray]:
@@ -130,31 +171,13 @@ def r_of_z(
     # limit of the ratio at t -> 0+: 0 when P(1) > 0, else 1/(2 P(2))
     origin_limit = 0.0 if dist.mass(1) > 0.0 else 1.0 / (2.0 * dist.mass(2))
 
-    n_inner = int(math.floor(z / grid_step + 1e-9))
-    ts = np.arange(1, n_inner + 1) * grid_step
-    ts = np.append(ts[ts < z], z)
-    derivs = pgf_derivative(dist, ts)
-    numer = -np.log1p(-ts)
-    if np.any((derivs <= 0.0) & (numer > 0.0)):
-        return math.inf
-    ratios = numer / derivs
-    best = int(np.argmax(ratios))
-
-    def ratio(t: float) -> float:
-        d = pgf_derivative(dist, t)
-        return math.inf if d <= 0.0 else -math.log1p(-t) / d
-
-    lo = float(ts[best - 1]) if best > 0 else float(ts[0]) / 2.0
-    hi = float(ts[best + 1]) if best + 1 < ts.size else z
-    # ternary-search polish of the grid maximum
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if ratio(m1) < ratio(m2):
-            lo = m1
-        else:
-            hi = m2
-    return max(float(ratios[best]), ratio(0.5 * (lo + hi)), origin_limit)
+    ts = _grid_closed(z, grid_step)
+    # t = 0 gives origin_limit; the grid maximum is polished between its neighbours
+    ratios = _rate_ratio(ts[1:], pgf_derivative(dist, ts[1:]))
+    best = int(np.argmax(ratios)) + 1
+    lo, hi = ts[best - 1], ts[min(best + 1, ts.size - 1)]
+    polished = _golden_max(lambda t: _rate_ratio(t, pgf_derivative(dist, t)), lo, hi)
+    return max(float(ratios[best - 1]), polished, origin_limit)
 
 
 def check_margin_condition(

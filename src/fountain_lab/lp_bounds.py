@@ -22,8 +22,9 @@ The LP is solved by column generation, an exchange method for the
 semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
 dense tableau simplex solves it on a working set of grid points, and the
 grid points its prices undervalue most join the set, until none is left.
-The optimum has few atoms (6 to 14 up to z = 0.995), so the restricted LPs
-stay small while the grid holds up to 10^5 points; the solver stays
+Columns are built for the working set only, never for the whole grid. The
+optimum has few atoms (6 to 14 up to z = 0.995), so the restricted LPs stay
+small while the grid holds up to 10^5 points; the solver stays
 dependency-free and bit-reproducible.
 """
 
@@ -36,6 +37,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import CSV_FLOAT
+from .asymptotics import _golden_max, _grid_closed, _rate_ratio
 from .degree_dist import DegreeDistribution, _power_sum, max_useful_degree
 
 PIVOT_TOL = 1e-9
@@ -47,48 +49,22 @@ DEFAULT_LP_GRID_STEP = 1e-3
 MAX_LP_GRID_POINTS = 10**5
 
 # most moment rows, m = max_useful_degree(z), the LP may have: z up to
-# 199/200. One solve took 0.13 s at m = 99 (z = 0.99) and 0.7 s at m = 199
-# on grid 1e-3, 0.3 s and 2.5 s on grid 1e-4, and `bound` took 10 s and
-# 206 MB at m = 199 on grid 1e-5 (2 vCPUs); m grows like 1/(1 - z)
+# 199/200. One solve took 0.14 s at m = 99 (z = 0.99) and 0.84 s at m = 199
+# on grid 1e-3, 0.3 s and 2.4 s on grid 1e-4, and `bound` took 9 s and
+# 66 MB at m = 199 on grid 1e-5 (2 vCPUs); m grows like 1/(1 - z)
 MAX_LP_DEGREE = 199
 
-STATUS_OPTIMAL = "optimal"
-STATUS_UNBOUNDED = "unbounded"
-STATUS_ITERATION_LIMIT = "iteration_limit"
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Dense LP: maximize objective . x subject to A x <= b, x >= 0, b >= 0."""
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    constraint_rhs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.objective, dtype=np.float64)
-        A = np.asarray(self.constraint_matrix, dtype=np.float64)
-        b = np.asarray(self.constraint_rhs, dtype=np.float64)
-        if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
-            raise ValueError("objective/rhs must be vectors, matrix must be 2-D")
-        if A.shape != (b.size, c.size):
-            raise ValueError(f"inconsistent dimensions A{A.shape}, c({c.size}), b({b.size})")
-        if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-            raise ValueError("all LP entries must be finite")
-        if (b < 0.0).any():
-            raise ValueError("constraint_rhs must be >= 0, so that x = 0 is feasible")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", A)
-        object.__setattr__(self, "constraint_rhs", b)
+# pivots after which simplex_solve gives up on one restricted LP
+MAX_ITERATIONS = 200_000
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str
-    objective_value: float
-    variable_values: np.ndarray
+    """Optimal point x, row prices y and pivot count of one simplex solve."""
+
+    x: np.ndarray
+    y: np.ndarray
     iterations: int
-    dual_values: np.ndarray | None = None
 
 
 def _entering(obj_row: np.ndarray, bland: bool) -> int | None:
@@ -128,55 +104,46 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 _DEGENERATE_RUN = 50
 
 
-def simplex_solve(problem: LpProblem, max_iterations: int = 200_000) -> LpSolution:
-    """Dense simplex started from the all-slack basis.
+def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpSolution:
+    """Maximize c.x subject to A x <= b, x >= 0, for b >= 0: a dense simplex.
 
-    b >= 0 makes x = 0 feasible, so one phase suffices. The entering column
-    has the most negative reduced cost (Dantzig's rule); after _DEGENERATE_RUN
-    degenerate pivots in a row it is the first negative one (Bland's rule)
-    until a pivot leaves a row with positive rhs. Bland's rule cannot cycle
-    and every other pivot raises the objective, so no basis repeats.
-    Deterministic given the input. On status 'optimal' the solution is
-    primal feasible within FEASIBILITY_TOL and no improving pivot exists;
-    dual_values holds one price per constraint row, none below -PIVOT_TOL.
+    b >= 0 makes the all-slack basis x = 0 feasible, so one phase suffices.
+    The entering column has the most negative reduced cost (Dantzig's rule);
+    after _DEGENERATE_RUN degenerate pivots in a row it is the first negative
+    one (Bland's rule) until a pivot leaves a row with positive rhs. Bland's
+    rule cannot cycle and every other pivot raises the objective, so no basis
+    repeats. Deterministic given the input. The returned x is feasible
+    within FEASIBILITY_TOL and admits no improving pivot; y holds one price
+    per row, none below -PIVOT_TOL. Raises RuntimeError, naming the status,
+    when the LP is unbounded or needs over MAX_ITERATIONS pivots, and when
+    the optimum found violates a row.
     """
-    c, A = problem.objective, problem.constraint_matrix
     m, n = A.shape
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = A
     tableau[:m, n:-1] = np.eye(m)
-    tableau[:m, -1] = problem.constraint_rhs
+    tableau[:m, -1] = b
     tableau[-1, :n] = -c
     basis = np.arange(n, n + m)
     iterations = degenerate = 0
-    status = STATUS_OPTIMAL
     while (col := _entering(tableau[-1, :-1], degenerate >= _DEGENERATE_RUN)) is not None:
         row = _leaving(tableau, col, basis)
         if row is None:
-            status = STATUS_UNBOUNDED
-            break
+            raise RuntimeError("simplex ended with status unbounded")
         iterations += 1
-        if iterations > max_iterations:
-            status = STATUS_ITERATION_LIMIT
-            break
+        if iterations > MAX_ITERATIONS:
+            raise RuntimeError("simplex ended with status iteration_limit")
         degenerate = degenerate + 1 if tableau[row, -1] <= PIVOT_TOL else 0
         _pivot(tableau, basis, row, col)
 
     x_full = np.zeros(n + m)
     x_full[basis] = tableau[:m, -1]
     x = x_full[:n]
-    if status == STATUS_OPTIMAL:
-        residual = A @ x - problem.constraint_rhs
-        if (residual > FEASIBILITY_TOL).any():
-            i = int(np.argmax(residual > FEASIBILITY_TOL))
-            raise RuntimeError(f"reported optimum violates row {i} by {float(residual[i])!r}")
-    return LpSolution(
-        status=status,
-        objective_value=float(np.dot(c, x)),
-        variable_values=x,
-        iterations=iterations,
-        dual_values=tableau[-1, n:-1].copy() if status == STATUS_OPTIMAL else None,
-    )
+    residual = A @ x - b
+    if (residual > FEASIBILITY_TOL).any():
+        i = int(np.argmax(residual > FEASIBILITY_TOL))
+        raise RuntimeError(f"reported optimum violates row {i} by {float(residual[i])!r}")
+    return LpSolution(x=x, y=tableau[-1, n:-1].copy(), iterations=iterations)
 
 
 # --- rate bounds ---
@@ -202,27 +169,25 @@ def validate_target(z: float, grid_step: float) -> None:
     validate_grid_step(grid_step)
 
 
-def _grid_closed(z: float, grid_step: float) -> np.ndarray:
-    """Grid points j*grid_step inside [0, z), with z appended as final point."""
-    pts = np.arange(0.0, z, grid_step)
-    if pts.size and z - pts[-1] <= 1e-12:
-        pts = pts[:-1]
-    return np.append(pts, z)
-
-
 def build_outer_bound_problem(
     z: float, grid_step: float = DEFAULT_LP_GRID_STEP
-) -> tuple[LpProblem, np.ndarray]:
-    """Moment LP for the outer bound; returns (problem, grid points)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moment LP for the outer bound: (grid points, objective, moment rhs)."""
     xs = _grid_closed(z, grid_step)
     m = max_useful_degree(z)
-    objective = -np.log1p(-xs)
-    rows = np.empty((m, xs.size))
-    for i in range(1, m + 1):
-        rows[i - 1] = xs ** (i - 1)
-    rhs = np.array([1.0 / i for i in range(1, m + 1)])
-    problem = LpProblem(objective=objective, constraint_matrix=rows, constraint_rhs=rhs)
-    return problem, xs
+    return xs, -np.log1p(-xs), 1.0 / np.arange(1, m + 1)
+
+
+def _moment_columns(ts: np.ndarray, m: int) -> np.ndarray:
+    """Rows t^0 .. t^(m-1) at the points ts: the LP's columns for them."""
+    # one power per row: numpy squares for t^2, which a broadcast power may not
+    return np.array([ts**i for i in range(m)])
+
+
+def _local_maxima(v: np.ndarray) -> np.ndarray:
+    """Indices where v is at least both neighbours (an end needs only one)."""
+    padded = np.concatenate(([-np.inf], v, [-np.inf]))
+    return np.flatnonzero((v >= padded[:-2]) & (v >= padded[2:]))
 
 
 def _solve_moment_lp(
@@ -235,36 +200,33 @@ def _solve_moment_lp(
     reduced cost -log(1-t) - sum y(i) t^(i-1) and adds to W each local
     maximum of it above PIVOT_TOL. With none left, the prices y are optimal
     for the whole grid. The masses on W, zero elsewhere, are then scaled
-    down until every moment row holds exactly in float64, and the value is
-    theirs, so it is a lower bound on r(z) without the simplex's tolerance.
+    down until every moment row holds exactly in float64 on their support,
+    and the value is theirs, so it is a lower bound on r(z) without the
+    simplex's tolerance.
     """
     validate_target(z, grid_step)
-    problem, xs = build_outer_bound_problem(z, grid_step)
-    c, A, b = problem.objective, problem.constraint_matrix, problem.constraint_rhs
-    exponents = np.arange(b.size)
+    xs, c, b = build_outer_bound_problem(z, grid_step)
     # about two points per moment row, evenly spaced, the first 0 and the last z
     working = np.zeros(xs.size, dtype=bool)
     working[np.linspace(0, xs.size - 1, 2 * b.size + 2).astype(np.intp)] = True
     while True:
         cols = np.flatnonzero(working)
-        solution = simplex_solve(LpProblem(c[cols], A[:, cols], b))
-        if solution.status != STATUS_OPTIMAL:
-            raise RuntimeError(f"moment LP ended with status {solution.status}")
-        reduced = c - _power_sum(exponents, solution.dual_values, xs)
-        padded = np.concatenate(([-np.inf], reduced, [-np.inf]))
-        peaks = (reduced > PIVOT_TOL) & (reduced >= padded[:-2]) & (reduced >= padded[2:])
-        peaks &= ~working
-        if not peaks.any():
+        solution = simplex_solve(c[cols], _moment_columns(xs[cols], b.size), b)
+        reduced = c - _power_sum(np.arange(b.size), solution.y, xs)
+        peaks = _local_maxima(reduced)
+        peaks = peaks[(reduced[peaks] > PIVOT_TOL) & ~working[peaks]]
+        if not peaks.size:
             break
-        working |= peaks
-    masses = np.zeros(xs.size)
-    masses[cols] = solution.variable_values
-    moments = A @ masses
+        working[peaks] = True
+    support, weights = cols[solution.x != 0.0], solution.x[solution.x != 0.0]
+    rows = _moment_columns(xs[support], b.size)
+    moments = rows @ weights
     while (over := moments > b).any():
-        masses = masses * np.nextafter(float(np.min(b[over] / moments[over])), 0.0)
-        moments = A @ masses
-    value = float(np.dot(c, masses))
-    return value, xs, masses, solution.dual_values
+        weights = weights * np.nextafter(float(np.min(b[over] / moments[over])), 0.0)
+        moments = rows @ weights
+    masses = np.zeros(xs.size)
+    masses[support] = weights
+    return float(np.dot(c[support], weights)), xs, masses, solution.y
 
 
 def dual_outer_bound(z: float, grid_step: float = DEFAULT_LP_GRID_STEP) -> float:
@@ -274,8 +236,7 @@ def dual_outer_bound(z: float, grid_step: float = DEFAULT_LP_GRID_STEP) -> float
     Any feasible point of that LP bounds r(z) from below, so the value is a
     true outer bound regardless of grid resolution.
     """
-    value, _, _ = dual_outer_bound_details(z, grid_step)
-    return value
+    return _solve_moment_lp(z, grid_step)[0]
 
 
 def dual_outer_bound_details(
@@ -284,14 +245,6 @@ def dual_outer_bound_details(
     """Outer bound plus the grid and the feasible masses that give it."""
     value, xs, masses, _ = _solve_moment_lp(z, grid_step)
     return value, xs, masses
-
-
-# golden-section steps per refined local maximum of the design's ratio;
-# each shrinks the bracket (two cells of the check grid, at most 2e-3 wide)
-# by 0.618, so 25 steps leave it about 1e-8 wide. The ratio is flat to
-# second order at its peak, so the value found is then exact to rounding
-_GOLDEN_STEPS = 25
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _worst_ratio(z: float, grid_step: float, y: np.ndarray) -> float:
@@ -303,27 +256,14 @@ def _worst_ratio(z: float, grid_step: float, y: np.ndarray) -> float:
     """
     exponents = np.arange(y.size)
 
-    def ratio(t: np.ndarray) -> np.ndarray:
-        deriv = _power_sum(exponents, y, t)
-        return np.where(deriv > 0.0, -np.log1p(-t) / np.maximum(deriv, 1e-300), np.inf)
+    def ratio(t):
+        return _rate_ratio(t, _power_sum(exponents, y, t))
 
     ts = _grid_closed(z, grid_step / 10.0)
     q = ratio(ts[1:])  # the constraint at t = 0 needs no rate
-    padded = np.concatenate(([-np.inf], q, [-np.inf]))
-    peak = np.nonzero((q >= padded[:-2]) & (q >= padded[2:]))[0] + 1
+    peak = _local_maxima(q) + 1
     lo, hi = ts[peak - 1], ts[np.minimum(peak + 1, ts.size - 1)]
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    qc, qd = ratio(c), ratio(d)
-    worst = max(float(q.max()), float(qc.max()), float(qd.max()))
-    for _ in range(_GOLDEN_STEPS):
-        left = qc >= qd  # the peak lies in [lo, d]; else in [c, hi]
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        t = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        qt = ratio(t)
-        worst = max(worst, float(qt.max()))
-        c, d = np.where(left, t, d), np.where(left, c, t)
-        qc, qd = np.where(left, qt, qd), np.where(left, qc, qt)
-    return worst
+    return max(float(q.max()), _golden_max(ratio, lo, hi))
 
 
 def primal_min_r(
@@ -379,7 +319,6 @@ class BoundRow:
 @dataclass(frozen=True)
 class BoundCurve:
     rows: tuple[BoundRow, ...]
-    grid_step: float
 
     def write_csv(self, dest: IO[str]) -> None:
         dest.write("z,r_lower,r_upper,m\n")
@@ -399,4 +338,4 @@ def outer_bound_curve(
         lower = dual_outer_bound(z, grid_step)
         _, upper = primal_min_r(z, grid_step)
         rows.append(BoundRow(z=z, r_lower_dual=lower, r_upper_primal=upper, m=max_useful_degree(z)))
-    return BoundCurve(rows=tuple(rows), grid_step=grid_step)
+    return BoundCurve(rows=tuple(rows))

@@ -38,6 +38,10 @@ MAX_SYMBOLS = 10**6
 # MAX_SYMBOL_BYTES bytes, about 512 MB
 MAX_K = 10**6
 MAX_SYMBOL_BYTES = 256
+# cap on trials * len(r_values), the (r, trial) cells of one sweep; sweep
+# lists every cell and every result before aggregating, about 130 bytes a
+# cell, so the cap holds those lists to about 130 MB
+MAX_TRIAL_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,9 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials * len(self.r_values) > MAX_TRIAL_CELLS:
+            raise ValueError(f"{self.trials} trials x {len(self.r_values)} rates, above "
+                             f"the cap of MAX_TRIAL_CELLS = {MAX_TRIAL_CELLS}")
         if self.k > MAX_K:
             raise ValueError(f"k={self.k} above the cap of MAX_K = {MAX_K}")
         if self.k < self.distribution.max_degree:

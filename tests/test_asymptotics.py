@@ -17,6 +17,7 @@ from fountain_lab import (
     s_of_r,
     truncated_soliton,
 )
+from fountain_lab.asymptotics import _golden_max, _rate_ratio
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0})
 DEG2 = DegreeDistribution.from_mapping({2: 1.0})
@@ -138,6 +139,42 @@ def test_r_of_z_monotone_in_z():
     dist = random_distribution(rng)
     values = [r_of_z(z, dist) for z in np.linspace(0.05, 0.9, 10)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_golden_max_finds_known_peaks():
+    # one scalar bracket with the peak inside it
+    assert _golden_max(lambda t: 1.0 - (t - 0.3) ** 2, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+
+    # three array brackets, searched at once: unit cells whose parabola of
+    # height h peaks at p; the tallest is in the middle cell
+    p = np.array([0.3, 1.7, 2.5])
+    h = np.array([1.0, 2.0, 1.5])
+
+    def cells(t):
+        i = np.floor(t).astype(int)
+        return h[i] - (t - p[i]) ** 2
+
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    best = _golden_max(cells, lo, hi)
+    assert best == pytest.approx(2.0, abs=1e-10)
+    assert best == max(_golden_max(cells, lo[i], hi[i]) for i in range(3))
+
+    # a peak at a bracket end: only interior points are evaluated, so the
+    # value comes within the final bracket of it, never beyond
+    best = _golden_max(lambda t: t, 0.25, 0.5)
+    assert 0.5 - 1e-5 < best < 0.5
+
+
+def test_r_of_z_polishes_between_coarse_grid_points():
+    # P'(t) = 0.4 + 2.4 t^3: the ratio -log(1-t)/P'(t) peaks near t = 0.566,
+    # inside a cell of the 0.05 grid, where the grid alone misses it by 4e-4
+    dist = DegreeDistribution.from_mapping({1: 0.4, 4: 0.6})
+    z = 0.8
+    ts = np.linspace(0.0, z, 10**6)[1:]
+    dense = float(_rate_ratio(ts, 0.4 + 2.4 * ts**3).max())
+    coarse = np.arange(1, 17) * 0.05
+    assert dense - float(_rate_ratio(coarse, 0.4 + 2.4 * coarse**3).max()) > 1e-4
+    assert r_of_z(z, dist, grid_step=0.05) == pytest.approx(dense, abs=1e-12)
 
 
 def test_r_of_z_memory_on_large_support():

@@ -12,7 +12,7 @@ from fountain_lab.lp_bounds import (
     validate_grid_step,
     validate_target,
 )
-from fountain_lab.sim_harness import MAX_K, MAX_SYMBOL_BYTES
+from fountain_lab.sim_harness import MAX_K, MAX_SYMBOL_BYTES, MAX_TRIAL_CELLS
 
 
 def run_cli(capsys, *argv):
@@ -198,7 +198,7 @@ def test_bound_solves_where_the_whole_grid_simplex_failed(capsys):
 def test_bound_internal_error_prefix_once(capsys, monkeypatch):
     # a solver failure, such as the simplex drifting off a row, reaches the
     # user as one prefixed line with plain numbers
-    def drifted(problem):
+    def drifted(*args):
         raise RuntimeError("reported optimum violates row 0 by 6.4e-08")
 
     monkeypatch.setattr(lp_bounds, "simplex_solve", drifted)
@@ -315,3 +315,18 @@ def test_simulate_caps_k_and_symbol_bytes_before_output(capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, "simulate", "--degree1", *argv)
     assert_rejected_before_output(code, out, err)
     assert "MAX_K" in err or "MAX_SYMBOL_BYTES" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--r", "0.5", "--trials", "1000000000"],
+    ["--r", "0.5", "--trials", str(MAX_TRIAL_CELLS + 1)],
+    ["--r", "0.5", "--r", "0.6", "--trials", str(MAX_TRIAL_CELLS // 2 + 1)],
+])
+def test_simulate_caps_trial_cells_before_output(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started above the trial-cell cap")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--degree1", "--k", "100", *argv)
+    assert_rejected_before_output(code, out, err)
+    assert "MAX_TRIAL_CELLS" in err

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,11 @@ from fountain_lab import (
     primal_min_r,
     truncated_soliton,
 )
+from fountain_lab import lp_bounds
 from fountain_lab.degree_dist import _power_sum
 from fountain_lab.lp_bounds import (
     PIVOT_TOL,
-    STATUS_ITERATION_LIMIT,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    LpProblem,
+    _moment_columns,
     _solve_moment_lp,
     build_outer_bound_problem,
     simplex_solve,
@@ -34,58 +33,41 @@ def known_region_rate(z):
 # --- simplex ---
 
 def test_simplex_box():
-    p = LpProblem(objective=np.array([1.0]),
-                  constraint_matrix=np.array([[1.0]]),
-                  constraint_rhs=np.array([1.0]))
-    sol = simplex_solve(p)
-    assert sol.status == STATUS_OPTIMAL
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+    sol = simplex_solve(np.array([1.0]), np.array([[1.0]]), np.array([1.0]))
+    assert float(sol.x[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_two_variable_vertex():
-    p = LpProblem(objective=np.array([1.0, 1.0]),
-                  constraint_matrix=np.array([[1.0, 2.0], [3.0, 1.0]]),
-                  constraint_rhs=np.array([4.0, 6.0]))
-    sol = simplex_solve(p)
-    assert sol.status == STATUS_OPTIMAL
+    sol = simplex_solve(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 1.0]]),
+                        np.array([4.0, 6.0]))
     # optimum at the constraint intersection (1.6, 1.2)
-    assert sol.variable_values == pytest.approx([1.6, 1.2], abs=1e-9)
-    assert sol.objective_value == pytest.approx(2.8, abs=1e-9)
+    assert sol.x == pytest.approx([1.6, 1.2], abs=1e-9)
+    assert float(sol.x.sum()) == pytest.approx(2.8, abs=1e-9)
 
 
 def test_simplex_unbounded():
-    p = LpProblem(objective=np.array([1.0]),
-                  constraint_matrix=np.array([[-1.0]]),
-                  constraint_rhs=np.array([1.0]))
-    assert simplex_solve(p).status == STATUS_UNBOUNDED
+    with pytest.raises(RuntimeError, match="unbounded"):
+        simplex_solve(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]))
 
 
-def test_simplex_iteration_limit():
-    p = LpProblem(objective=np.array([1.0, 1.0]),
-                  constraint_matrix=np.array([[1.0, 2.0], [3.0, 1.0]]),
-                  constraint_rhs=np.array([4.0, 6.0]))
-    assert simplex_solve(p, max_iterations=1).status == STATUS_ITERATION_LIMIT
-
-
-def test_simplex_rejects_negative_rhs():
-    with pytest.raises(ValueError, match=">= 0"):
-        LpProblem(objective=np.array([1.0]),
-                  constraint_matrix=np.array([[1.0], [1.0]]),
-                  constraint_rhs=np.array([1.0, -1e-12]))
+def test_simplex_iteration_limit(monkeypatch):
+    monkeypatch.setattr(lp_bounds, "MAX_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="iteration_limit"):
+        simplex_solve(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 1.0]]),
+                      np.array([4.0, 6.0]))
 
 
 def test_simplex_solves_beales_cycling_example():
     # Dantzig's rule alone cycles through six degenerate bases here forever;
     # the switch to Bland's rule after a run of degenerate pivots ends it
-    p = LpProblem(objective=np.array([0.75, -20.0, 0.5, -6.0]),
-                  constraint_matrix=np.array([[0.25, -8.0, -1.0, 9.0],
-                                              [0.5, -12.0, -0.5, 3.0],
-                                              [0.0, 0.0, 1.0, 0.0]]),
-                  constraint_rhs=np.array([0.0, 0.0, 1.0]))
-    sol = simplex_solve(p)
-    assert sol.status == STATUS_OPTIMAL
-    assert sol.objective_value == pytest.approx(1.25, abs=1e-12)
-    assert sol.variable_values == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    sol = simplex_solve(c,
+                        np.array([[0.25, -8.0, -1.0, 9.0],
+                                  [0.5, -12.0, -0.5, 3.0],
+                                  [0.0, 0.0, 1.0, 0.0]]),
+                        np.array([0.0, 0.0, 1.0]))
+    assert float(c @ sol.x) == pytest.approx(1.25, abs=1e-12)
+    assert sol.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_simplex_against_scipy_oracle():
@@ -98,15 +80,15 @@ def test_simplex_against_scipy_oracle():
         A = rng.normal(size=(m, n)).round(3)
         b = np.abs(rng.normal(scale=2.0, size=m)).round(3)
         c = rng.normal(size=n).round(3)
-        ours = simplex_solve(LpProblem(objective=c, constraint_matrix=A, constraint_rhs=b))
         ref = scipy_opt.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
         if ref.status == 0:
-            assert ours.status == STATUS_OPTIMAL, (A, b, c)
-            assert ours.objective_value == pytest.approx(-ref.fun, abs=1e-7)
+            ours = simplex_solve(c, A, b)
+            assert float(c @ ours.x) == pytest.approx(-ref.fun, abs=1e-7)
             agreements += 1
         else:
             assert ref.status == 3, ref.message  # x = 0 is feasible when b >= 0
-            assert ours.status == STATUS_UNBOUNDED, (A, b, c)
+            with pytest.raises(RuntimeError, match="unbounded"):
+                simplex_solve(c, A, b)
             unbounded += 1
     assert agreements >= 10  # the sample must contain real optima
     assert unbounded >= 1
@@ -120,12 +102,10 @@ def test_simplex_dual_values_certify_optimum():
         A = np.abs(rng.normal(size=(m, n))) + 0.1
         b = np.abs(rng.normal(size=m)) + 0.5
         c = np.abs(rng.normal(size=n))
-        sol = simplex_solve(LpProblem(objective=c, constraint_matrix=A, constraint_rhs=b))
-        assert sol.status == STATUS_OPTIMAL
-        duals = sol.dual_values
-        assert (duals >= -1e-9).all()
-        assert (A.T @ duals >= c - 1e-8).all()
-        assert float(duals @ b) == pytest.approx(sol.objective_value, abs=1e-8)
+        sol = simplex_solve(c, A, b)
+        assert (sol.y >= -1e-9).all()
+        assert (A.T @ sol.y >= c - 1e-8).all()
+        assert float(sol.y @ b) == pytest.approx(float(c @ sol.x), abs=1e-8)
 
 
 # --- outer bound (moment LP) ---
@@ -163,15 +143,26 @@ def test_moment_constraints_certified_by_explicit_point():
     # the two-point distribution with mass 1/(2z) at z is feasible for the
     # moment LP and achieves -log(1-z)/(2z) exactly on z in [1/2, 2/3]
     for z in np.linspace(0.5, 2.0 / 3.0, 7):
-        problem, xs = build_outer_bound_problem(float(z))
+        xs, objective, rhs = build_outer_bound_problem(float(z))
         f = np.zeros_like(xs)
         f[0] = 1.0 - 1.0 / (2.0 * z)
         f[-1] = 1.0 / (2.0 * z)
-        residual = problem.constraint_matrix @ f - problem.constraint_rhs
+        residual = _moment_columns(xs, rhs.size) @ f - rhs
         assert (residual <= 1e-12).all()
-        assert float(problem.objective @ f) == pytest.approx(
-            known_region_rate(float(z)), abs=1e-12)
-        assert dual_outer_bound(float(z)) >= float(problem.objective @ f) - 1e-9
+        assert float(objective @ f) == pytest.approx(known_region_rate(float(z)), abs=1e-12)
+        assert dual_outer_bound(float(z)) >= float(objective @ f) - 1e-9
+
+
+def test_moment_lp_memory_stays_small():
+    # only the working set's columns are built, never the m x N moment
+    # matrix (19 rows x 95,001 grid points, 14 MB, here); the peak is 3.7 MB
+    tracemalloc.start()
+    try:
+        dual_outer_bound(0.95, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 # --- primal (cheapest distribution) ---
@@ -232,11 +223,13 @@ def test_design_holds_between_check_points():
 
 def test_outer_masses_hold_every_moment_row_exactly():
     for z in (0.3, 0.6, 0.75, 0.9, 0.95):
-        problem, _ = build_outer_bound_problem(z)
+        xs, objective, rhs = build_outer_bound_problem(z)
         value, _, masses = dual_outer_bound_details(z)
         assert (masses >= 0.0).all()
-        assert (problem.constraint_matrix @ masses <= problem.constraint_rhs).all(), z
-        assert value == float(np.dot(problem.objective, masses))
+        support = masses > 0.0
+        rows = _moment_columns(xs[support], rhs.size)
+        assert (rows @ masses[support] <= rhs).all(), z
+        assert value == float(np.dot(objective[support], masses[support]))
 
 
 def test_moment_lp_against_scipy_oracle():
@@ -244,10 +237,9 @@ def test_moment_lp_against_scipy_oracle():
     cases = [(z, 1e-3) for z in (0.75, 0.9, 0.95, 0.975, 0.98, 0.985, 0.99, 0.995)]
     cases += [(0.98, 5e-3), (0.985, 1e-2)]
     for z, step in cases:
-        problem, _ = build_outer_bound_problem(z, step)
-        ref = scipy_opt.linprog(-problem.objective, A_ub=problem.constraint_matrix,
-                                b_ub=problem.constraint_rhs, bounds=(0, None),
-                                method="highs")
+        xs, objective, rhs = build_outer_bound_problem(z, step)
+        ref = scipy_opt.linprog(-objective, A_ub=_moment_columns(xs, rhs.size), b_ub=rhs,
+                                bounds=(0, None), method="highs")
         assert ref.status == 0
         assert dual_outer_bound(z, step) == pytest.approx(-ref.fun, abs=1e-7), (z, step)
 
@@ -259,11 +251,11 @@ def test_column_generation_prices_hold_on_the_whole_grid():
     cases = ((0.75, 1e-3), (0.95, 1e-4), (0.98, 5e-3), (0.985, 1e-2), (0.99, 5e-3), (0.99, 1e-3))
     for z, step in cases:
         value, xs, masses, prices = _solve_moment_lp(z, step)
-        problem, _ = build_outer_bound_problem(z, step)
-        reduced = problem.objective - _power_sum(np.arange(prices.size), prices, xs)
+        _, objective, rhs = build_outer_bound_problem(z, step)
+        reduced = objective - _power_sum(np.arange(prices.size), prices, xs)
         assert reduced.max() <= PIVOT_TOL, (z, step, xs[np.argmax(reduced)])
-        assert float(problem.constraint_rhs @ prices) == pytest.approx(value, abs=1e-9), (z, step)
-        assert np.count_nonzero(masses) <= problem.constraint_rhs.size  # a basic solution
+        assert float(rhs @ prices) == pytest.approx(value, abs=1e-9), (z, step)
+        assert np.count_nonzero(masses) <= rhs.size  # a basic solution
 
 
 def test_weak_duality_everywhere():
@@ -286,13 +278,9 @@ def test_support_cap_holds_with_headroom():
     # degrees above the useful cap would stay unused in the design
     for z in (0.3, 0.5, 0.55, 0.6, 2.0 / 3.0, 0.75, 0.9):
         m = max_useful_degree(z)
-        problem, xs = build_outer_bound_problem(z)
-        rows = np.vstack([xs ** (i - 1) for i in range(1, m + 4)])
-        rhs = 1.0 / np.arange(1, m + 4)
-        sol = simplex_solve(LpProblem(objective=problem.objective,
-                                      constraint_matrix=rows, constraint_rhs=rhs))
-        assert sol.status == STATUS_OPTIMAL
-        assert (sol.dual_values[m:] <= 1e-9).all(), (z, sol.dual_values)
+        xs, objective, _ = build_outer_bound_problem(z)
+        sol = simplex_solve(objective, _moment_columns(xs, m + 3), 1.0 / np.arange(1, m + 4))
+        assert (sol.y[m:] <= 1e-9).all(), (z, sol.y)
 
 
 def test_inner_design_sits_between_bounds():

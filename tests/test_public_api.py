@@ -58,6 +58,6 @@ def test_public_surface_is_pinned():
 
 
 def test_lp_internals_stay_in_their_module():
-    for name in ("LpProblem", "LpSolution", "simplex_solve"):
+    for name in ("LpSolution", "simplex_solve"):
         assert not hasattr(fountain_lab, name), name
         assert hasattr(fountain_lab.lp_bounds, name), name
