@@ -4,12 +4,13 @@ Encoding: each output symbol independently samples a degree d from the
 configured distribution, picks a uniform d-subset of the k inputs, and XORs
 their payloads. Decoding: repeatedly take a symbol whose residual degree is
 one, recover its remaining input, and cancel that input out of every other
-symbol containing it; stop when no degree-one symbols remain. The decoder
-releases degree-one symbols in one order, last in first out. The order does
-not change the result: the inputs left unrecovered form the largest stopping
-set of the received graph, which is the same for every release order (Di,
-Proietti, Telatar, Richardson & Urbanke, IEEE Trans. IT 48, 2002), and when
-each payload is the XOR of its inputs, each recovered value is that input.
+symbol containing it; stop when no degree-one symbols remain. `peel` does
+this round-parallel on the CSR graph: each round releases every degree-one
+symbol at once, one per input. The order does not change the result: the
+inputs left unrecovered form the largest stopping set of the received graph,
+which is the same for every release order (Di, Proietti, Telatar, Richardson
+& Urbanke, IEEE Trans. IT 48, 2002), and when each payload is the XOR of its
+inputs, each recovered value is that input.
 
 Randomness is a SplitMix64 stream per output symbol: symbol i draws from
 SplitMix64 seeded with seed_i = mix64(seed + (i+1) * gamma), gamma =
@@ -23,6 +24,7 @@ the draws of a whole block of symbols as one numpy uint64 expression.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -299,76 +301,94 @@ def encode(
     return symbols
 
 
-class DecoderState:
-    """Mutable peeling state over a batch of received symbols.
+def _row_edges(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge positions of the given CSR rows, row after row, and each row's start."""
+    lengths = offsets[rows + 1] - offsets[rows]
+    starts = np.add.accumulate(lengths) - lengths
+    edges = np.arange(int(lengths.sum())) + np.repeat(offsets[rows] - starts, lengths)
+    return edges, starts
 
-    Residual neighbor sets are kept XOR-compressed: per symbol only the
-    residual degree and the XOR of residual neighbor indices are stored, which
-    makes every edge removal O(1) while still exposing the lone neighbor of
-    any degree-one symbol. Residual payloads always equal the XOR of the
-    residual neighbors' true values with the original payload.
+
+def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
+        np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray, int]:
+    """Round-parallel peeling of a CSR graph of coded symbols over k inputs.
+
+    Each round releases every degree-one symbol, the lowest-indexed per input.
+    Returns the decoded mask, the (symbols, inputs) released in each round,
+    each symbol's residual degree (its undecoded neighbours) and the edge
+    removals, the summed degrees of the decoded inputs.
+    """
+    residual = np.diff(offsets)
+    decoded = np.zeros(k, dtype=bool)
+    # the symbols at each input, int32 to halve the edge-length arrays holding them
+    by_input = np.repeat(np.arange(residual.size, dtype=np.int32), residual)
+    by_input = by_input[np.argsort(neighbors)]
+    input_offsets = np.zeros(k + 1, dtype=np.int64)
+    np.add.accumulate(np.bincount(neighbors, minlength=k), out=input_offsets[1:])
+    rounds, removals = [], 0
+    ripple = np.flatnonzero(residual == 1)
+    while ripple.size:
+        lone = neighbors[_row_edges(offsets, ripple)[0]]
+        lone = lone[~decoded[lone]]  # one per ripple symbol, in ripple order
+        order = np.argsort(lone, kind="stable")
+        order = order[np.diff(lone[order], prepend=-1) != 0]  # the first symbol per input
+        inputs = lone[order]
+        rounds.append((ripple[order], inputs))
+        decoded[inputs] = True
+        touched = by_input[_row_edges(input_offsets, inputs)[0]]
+        removals += touched.size
+        np.subtract.at(residual, touched, 1)
+        ripple = np.sort(touched[residual[touched] == 1])
+        ripple = ripple[np.diff(ripple, prepend=-1) != 0]
+    return decoded, rounds, residual, removals
+
+
+class DecoderState:
+    """The received symbols as a CSR graph and payload matrix, and their peel.
+
+    `run` peels (`peel`), then sets each round's released inputs to their
+    symbols' payloads XOR the values of the symbols' other neighbours, which
+    earlier rounds decoded; any release order leaves the same stopping set.
     """
 
     def __init__(self, symbols: Sequence[CodedSymbol], k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
-        size = None
-        for sym in symbols:
-            if sym.neighbors[-1] >= k:
-                raise ValueError(f"symbol references input {sym.neighbors[-1]} >= k={k}")
-            if size is None:
-                size = len(sym.payload)
-            elif len(sym.payload) != size:
-                raise ValueError("all payloads must have the same length")
-        self.payload_size = size if size is not None else 0
-
-        self.recovered: list[int | None] = [None] * k
-        self.decoded_count = 0
-        self.edge_removals = 0
-
-        self.residual_degree = [sym.degree for sym in symbols]
-        self.neighbor_xor = [0] * len(symbols)
-        self.residual_payload = [0] * len(symbols)
-        self.edges: list[list[int]] = [[] for _ in range(k)]
-        for s, sym in enumerate(symbols):
-            self.residual_payload[s] = int.from_bytes(sym.payload, "big")
-            acc = 0
-            for v in sym.neighbors:
-                acc ^= v
-                self.edges[v].append(s)
-            self.neighbor_xor[s] = acc
-        self.ripple = [s for s, d in enumerate(self.residual_degree) if d == 1]
+        nbrs = [sym.neighbors for sym in symbols]
+        self.offsets = np.zeros(len(nbrs) + 1, dtype=np.int64)
+        np.add.accumulate(np.fromiter(map(len, nbrs), np.int64, len(nbrs)), out=self.offsets[1:])
+        self.neighbors = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
+                                     int(self.offsets[-1]))
+        last = self.neighbors[self.offsets[1:] - 1]
+        if np.any(last >= k):
+            raise ValueError(f"symbol references input {last[last >= k][0]} >= k={k}")
+        payloads = [sym.payload for sym in symbols]
+        if len(set(map(len, payloads))) > 1:
+            raise ValueError("all payloads must have the same length")
+        self.payload_size = len(payloads[0]) if payloads else 0
+        self.payload = np.frombuffer(b"".join(payloads), np.uint8).reshape(
+            len(payloads), self.payload_size)
+        self.k, self.decoded_count, self.edge_removals = k, 0, 0
 
     def run(self) -> None:
-        """Peel to fixpoint, releasing the newest degree-one symbol first."""
-        ripple = self.ripple
-        degree = self.residual_degree
-        nxor = self.neighbor_xor
-        payload = self.residual_payload
-        recovered = self.recovered
-        while ripple:
-            s = ripple.pop()
-            if degree[s] != 1:
-                continue
-            v = nxor[s]
-            value = payload[s]
-            recovered[v] = value
-            self.decoded_count += 1
-            for other in self.edges[v]:
-                degree[other] -= 1
-                nxor[other] ^= v
-                payload[other] ^= value
-                self.edge_removals += 1
-                if degree[other] == 1:
-                    ripple.append(other)
+        """Peel to fixpoint, then back-substitute the payloads round by round."""
+        self.decoded, rounds, self.residual_degree, self.edge_removals = peel(
+            self.offsets, self.neighbors, self.k)
+        self.decoded_count = int(self.decoded.sum())
+        self.values = np.zeros((self.k, self.payload_size), dtype=np.uint8)
+        for syms, inputs in rounds:
+            edges, starts = _row_edges(self.offsets, syms)
+            others = np.bitwise_xor.reduceat(self.values[self.neighbors[edges]], starts, axis=0)
+            self.values[inputs] = self.payload[syms] ^ others
 
 
 def decode(symbols: Sequence[CodedSymbol], k: int) -> tuple[list[bytes | None], int]:
     """Peel the received symbols; returns (per-input values or None, count)."""
     state = DecoderState(symbols, k)
     state.run()
-    size = state.payload_size
-    values = [None if v is None else v.to_bytes(size, "big") for v in state.recovered]
+    size, blob = state.payload_size, state.values.tobytes()
+    values = [blob[v * size : (v + 1) * size] if hit else None
+              for v, hit in enumerate(state.decoded.tolist())]
     return values, state.decoded_count
 
 

@@ -30,8 +30,10 @@ from .lt_codec import decode, encode, mix64
 
 RECEIVE_MODELS = ("deterministic_n", "poisson_n")
 
-# cap on n = r*k, the coded symbols of one trial; the encoder holds about
-# 1.3 kB per symbol at mean degree 19, so a trial at the cap takes ~1.3 GB
+# cap on n = r*k, the coded symbols of one trial; the encoded symbols plus
+# the decoder's arrays peak at about 1.35 kB per symbol at mean degree 19
+# (robust_soliton(10**5, 0.1, 0.5) at r = 1.3, traced with tracemalloc), so
+# a trial at the cap takes ~1.35 GB
 MAX_SYMBOLS = 10**6
 # caps on k, the inputs of one trial, and on the payload bytes per symbol;
 # with MAX_SYMBOLS they hold a trial's payloads to (MAX_K + MAX_SYMBOLS) *
@@ -180,7 +182,8 @@ def sweep(
 
     Per-trial seeding makes the output identical for any worker count; the
     worker pool (FOUNTAIN_LAB_THREADS or the workers argument) only changes
-    wall-clock time.
+    wall-clock time. Each worker receives the config once, when it starts;
+    a task is only its (r, trial index).
     """
     nworkers = workers if workers is not None else worker_count()
     cells = [
@@ -189,8 +192,10 @@ def sweep(
     if nworkers > 1 and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            flat = list(pool.map(_sweep_cell, [(config, r, t) for r, t in cells], chunksize=8))
+        with ProcessPoolExecutor(
+            max_workers=nworkers, initializer=_set_worker_config, initargs=(config,)
+        ) as pool:
+            flat = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:
         flat = [run_trial(config, r, t) for r, t in cells]
 
@@ -203,9 +208,18 @@ def sweep(
     return SimulationResult(rows=tuple(rows), config_digest=config.digest())
 
 
-def _sweep_cell(args: tuple[SimulationConfig, float, int]) -> float:
-    config, r, t = args
-    return run_trial(config, r, t)
+# the sweep's config inside a pool worker, set once by the pool's initializer
+_worker_config: SimulationConfig | None = None
+
+
+def _set_worker_config(config: SimulationConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _sweep_cell(cell: tuple[float, int]) -> float:
+    r, t = cell
+    return run_trial(_worker_config, r, t)
 
 
 def write_result_csv(

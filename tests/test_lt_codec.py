@@ -1,10 +1,8 @@
 import bisect
-import functools
 import hashlib
 import io
 import itertools
 import math
-import operator
 from collections import Counter
 
 import numpy as np
@@ -17,11 +15,13 @@ from fountain_lab import (
     decode,
     encode,
     ideal_soliton,
+    perturb,
     read_symbols,
     robust_soliton,
+    truncated_soliton,
     write_symbols,
 )
-from fountain_lab import lt_codec
+from fountain_lab import lt_codec, sim_harness
 from fountain_lab.lt_codec import sample_graph, xor_payload
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0})
@@ -328,17 +328,80 @@ def test_decode_single_input():
 def test_decode_rejects_out_of_range():
     with pytest.raises(ValueError):
         decode([CodedSymbol((3,), b"\x00")], 3)
+    with pytest.raises(ValueError, match="references input 3 >= k=3"):
+        decode([CodedSymbol((0, 1), b"\x00"), CodedSymbol((1, 3), b"\x00")], 3)
+
+
+def symbols_csr(symbols):
+    offsets = np.zeros(len(symbols) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([sym.degree for sym in symbols], dtype=np.int64)
+    neighbors = np.array([v for sym in symbols for v in sym.neighbors], dtype=np.int64)
+    return offsets, neighbors
 
 
 def test_histogram_examples():
-    state = DecoderState([CodedSymbol((0,), b"\x01"), CodedSymbol((0, 1), b"\x03")], 2)
-    assert state.residual_degree == [1, 2]
-    state.run()
-    assert state.residual_degree == [0, 0]
+    symbols = [CodedSymbol((0,), b"\x01"), CodedSymbol((0, 1), b"\x03")]
+    decoded, _, residual, _ = lt_codec.peel(*symbols_csr(symbols), 2)
+    assert (decoded.tolist(), residual.tolist()) == ([True, True], [0, 0])
 
-    stalled = DecoderState([CodedSymbol((0, 1), b"\x06"), CodedSymbol((1, 2), b"\x0c")], 3)
-    stalled.run()
-    assert stalled.residual_degree == [2, 2]
+    stalled = [CodedSymbol((0, 1), b"\x06"), CodedSymbol((1, 2), b"\x0c")]
+    decoded, _, residual, _ = lt_codec.peel(*symbols_csr(stalled), 3)
+    assert (decoded.tolist(), residual.tolist()) == ([False] * 3, [2, 2])
+
+
+def test_decode_rejects_ragged_payloads_and_empty_k():
+    with pytest.raises(ValueError, match="all payloads must have the same length"):
+        decode([CodedSymbol((0,), b"\x01"), CodedSymbol((1,), b"\x01\x02")], 2)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        decode([], 0)
+
+
+def test_peel_matches_oracle():
+    rng = np.random.default_rng(300)
+    for _ in range(300):
+        k, _, symbols = random_instance(rng, k_max=30, n_max=40)
+        offsets, neighbors = symbols_csr(symbols)
+        decoded, rounds, residual, removals = lt_codec.peel(offsets, neighbors, k)
+        truth = oracle_decode(symbols, k)
+        assert decoded.tolist() == [v in truth for v in range(k)]
+        assert residual.tolist() == [
+            sum(v not in truth for v in sym.neighbors) for sym in symbols
+        ]
+        in_degree = Counter(v for sym in symbols for v in sym.neighbors)
+        assert removals == sum(in_degree[v] for v in truth)
+        # each round releases one symbol per input that some degree-one symbol
+        # holds alone, and nothing else
+        known = set()
+        for syms, inputs in rounds:
+            lone = {}
+            for s, sym in enumerate(symbols):
+                rest = [v for v in sym.neighbors if v not in known]
+                if len(rest) == 1:
+                    lone.setdefault(rest[0], s)
+            assert dict(zip(inputs.tolist(), syms.tolist())) == lone
+            assert len(inputs) == len(lone)
+            known.update(lone)
+        assert known == set(truth)
+
+
+def test_peel_edge_cases():
+    decoded, rounds, residual, removals = lt_codec.peel(
+        np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), 1)
+    assert (decoded.tolist(), rounds, residual.tolist(), removals) == ([False], [], [], 0)
+
+    # symbols 0 and 1 both hold input 0 alone: round one releases symbol 0 only
+    twice = [CodedSymbol((0,), b"\x01"), CodedSymbol((0,), b"\x01"),
+             CodedSymbol((0, 1), b"\x03")]
+    decoded, rounds, residual, removals = lt_codec.peel(*symbols_csr(twice), 2)
+    assert [(s.tolist(), v.tolist()) for s, v in rounds] == [([0], [0]), ([2], [1])]
+    assert (decoded.tolist(), residual.tolist(), removals) == ([True, True], [0, 0, 0], 4)
+    assert decode(twice, 2) == ([b"\x01", b"\x02"], 2)
+
+    # every input is held by two symbols: the whole graph is a stopping set
+    cycle = [CodedSymbol(pair, b"\x00") for pair in ((0, 1), (1, 2), (0, 2))]
+    decoded, rounds, residual, removals = lt_codec.peel(*symbols_csr(cycle), 3)
+    assert (decoded.tolist(), rounds, residual.tolist(), removals) == (
+        [False] * 3, [], [2] * 3, 0)
 
 
 def test_decode_matches_oracle():
@@ -354,8 +417,8 @@ def test_decode_matches_oracle():
 
 
 def test_decode_order_independent():
-    # the oracle re-scans symbols in index order, the decoder releases the
-    # newest degree-one symbol first: both must recover the same values
+    # the oracle re-scans symbols in index order, the decoder releases every
+    # degree-one symbol of a round at once: both must recover the same values
     rng = np.random.default_rng(1717)
     for _ in range(500):
         k, inputs, symbols = random_instance(rng, k_max=50, n_max=100)
@@ -387,15 +450,48 @@ def test_decode_xor_consistency_and_work_bound():
 
 
 def test_residual_sets_never_contain_recovered():
-    # the decoder keeps each residual set as its size and the XOR of its members
+    # a symbol's residual degree counts its neighbours that peel left undecoded
     rng = np.random.default_rng(12)
     k, _, symbols = random_instance(rng, k_max=30, n_max=60)
-    state = DecoderState(symbols, k)
-    state.run()
+    decoded, _, residual, _ = lt_codec.peel(*symbols_csr(symbols), k)
     for idx, sym in enumerate(symbols):
-        unrecovered = [v for v in sym.neighbors if state.recovered[v] is None]
-        assert state.residual_degree[idx] == len(unrecovered)
-        assert state.neighbor_xor[idx] == functools.reduce(operator.xor, unrecovered, 0)
+        unrecovered = [v for v in sym.neighbors if not decoded[v]]
+        assert residual[idx] == len(unrecovered)
+
+
+# decode's (decoded count, edge_removals) inside run_trial at k = 10**4, on
+# the benchmark's mc_trials cells, as the one-symbol-at-a-time decoder gave
+# them: cell -> (distribution, r, receive model, base seed, counts)
+_DESIGN = truncated_soliton(0.75)
+GOLDEN_COUNTS = {
+    "degree1_r0.2": (DEG1, 0.2, "deterministic_n", 0, (1821, 2000)),
+    "robust_r0.9": (robust_soliton(10_000, 0.1, 0.5), 0.9, "poisson_n", 1, (457, 6706)),
+    "degree1_r0.5": (DEG1, 0.5, "poisson_n", 2, (3911, 4999)),
+    "robust_r1.3": (robust_soliton(10_000, 0.1, 0.5), 1.3, "deterministic_n", 3,
+                    (10000, 196470)),
+    "degree1_r0.8": (DEG1, 0.8, "deterministic_n", 4, (5477, 8000)),
+    "design0.75": (perturb(_DESIGN.distribution, 0.01), _DESIGN.a, "poisson_n", 5,
+                   (7469, 19145)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COUNTS))
+def test_decode_golden_counts_k10000(monkeypatch, case):
+    dist, r, model, base_seed, expected = GOLDEN_COUNTS[case]
+    counts = []
+
+    def spy(symbols, k):
+        state = DecoderState(symbols, k)
+        state.run()
+        counts.append((state.decoded_count, state.edge_removals))
+        return decode(symbols, k)
+
+    monkeypatch.setattr(sim_harness, "decode", spy)
+    config = sim_harness.SimulationConfig(distribution=dist, k=10_000, r_values=(r,),
+                                          trials=1, receive_model=model, base_seed=base_seed)
+    z = sim_harness.run_trial(config, r, 0)
+    assert counts == [expected]
+    assert z == expected[0] / 10_000
 
 
 def test_full_recovery_with_overhead():

@@ -114,6 +114,40 @@ def test_worker_pool_matches_serial():
     assert sweep(config, workers=2) == sweep(config, workers=1)
 
 
+def test_sweep_tasks_carry_no_config(monkeypatch):
+    # the pool gets the config once per worker; each task pickles small
+    import concurrent.futures
+    import pickle
+
+    from fountain_lab import sim_harness
+
+    sent = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.start = lambda: initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            self.start()
+            tasks = list(tasks)
+            sent.extend(len(pickle.dumps((fn, task))) for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sim_harness, "_worker_config", None)
+    config = SimulationConfig(distribution=robust_soliton(10_000, 0.1, 0.5), k=10_000,
+                              r_values=(0.01, 0.02), trials=2, base_seed=3)
+    assert len(pickle.dumps(config)) > 100_000
+    assert sweep(config, workers=2) == sweep(config, workers=1)
+    assert len(sent) == 4 and max(sent) < 1024
+
+
 def test_worker_count_env(monkeypatch):
     from fountain_lab.sim_harness import worker_count
 
