@@ -156,6 +156,8 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.realize_delta < 1.0:
+        raise ValueError(f"realize-delta must lie in [0, 1), got {args.realize_delta!r}")
     dist = _resolve_dist(args)
     realized = dist
     note = ""

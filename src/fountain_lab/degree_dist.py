@@ -211,8 +211,8 @@ def robust_soliton(k: int, c: float, fail_prob: float) -> DegreeDistribution:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"robust_soliton needs integer k >= 2, got {k!r}")
     _check_max_degree(f"robust_soliton(k={k})", k)
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     if not 0.0 < fail_prob < 1.0:
         raise ValueError("fail_prob must lie in (0, 1)")
     R = c * math.log(k / fail_prob) * math.sqrt(k)

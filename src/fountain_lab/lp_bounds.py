@@ -22,6 +22,7 @@ The LP is solved by column generation, an exchange method for the
 semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
 dense tableau simplex solves it on a working set of grid points, and the
 grid points its prices undervalue most join the set, until none is left.
+Each round's simplex starts from the previous round's final tableau.
 Columns are built for the working set only, never for the whole grid. The
 optimum has few atoms (6 to 14 up to z = 0.995), so the restricted LPs stay
 small while the grid holds up to 10^5 points; the solver stays
@@ -30,9 +31,11 @@ dependency-free and bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from contextvars import ContextVar
+from dataclasses import dataclass, field
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -49,9 +52,9 @@ DEFAULT_LP_GRID_STEP = 1e-3
 MAX_LP_GRID_POINTS = 10**5
 
 # most moment rows, m = max_useful_degree(z), the LP may have: z up to
-# 199/200. One solve took 0.14 s at m = 99 (z = 0.99) and 0.84 s at m = 199
-# on grid 1e-3, 0.3 s and 2.4 s on grid 1e-4, and `bound` took 9 s and
-# 66 MB at m = 199 on grid 1e-5 (2 vCPUs); m grows like 1/(1 - z)
+# 199/200. One solve took 0.04 s at m = 99 (z = 0.99) and 0.29 s at m = 199
+# on grid 1e-3, 0.08 s and 0.54 s on grid 1e-4, and `bound` took 2.3 s and
+# 70 MB at m = 199 on grid 1e-5 (2 vCPUs); m grows like 1/(1 - z)
 MAX_LP_DEGREE = 199
 
 # pivots after which simplex_solve gives up on one restricted LP
@@ -60,11 +63,14 @@ MAX_ITERATIONS = 200_000
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Optimal point x, row prices y and pivot count of one simplex solve."""
+    """Optimal point x, row prices y and pivot count of one simplex solve,
+    with the final tableau and basis, from which a later solve can start."""
 
     x: np.ndarray
     y: np.ndarray
     iterations: int
+    tableau: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
 
 
 def _entering(obj_row: np.ndarray, bland: bool) -> int | None:
@@ -104,10 +110,16 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 _DEGENERATE_RUN = 50
 
 
-def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpSolution:
+def simplex_solve(
+    c: np.ndarray, A: np.ndarray, b: np.ndarray, start: LpSolution | None = None
+) -> LpSolution:
     """Maximize c.x subject to A x <= b, x >= 0, for b >= 0: a dense simplex.
 
     b >= 0 makes the all-slack basis x = 0 feasible, so one phase suffices.
+    A start, the solution of the same LP on the first columns of A, replaces
+    that basis by its final one: each further column a(j) enters the start's
+    tableau as B^-1 a(j), read from its slack block, with reduced cost
+    y.a(j) - c(j), so only the pivots the new columns open up are made.
     The entering column has the most negative reduced cost (Dantzig's rule);
     after _DEGENERATE_RUN degenerate pivots in a row it is the first negative
     one (Bland's rule) until a pivot leaves a row with positive rhs. Bland's
@@ -120,11 +132,20 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpSolution:
     """
     m, n = A.shape
     tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n:-1] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[-1, :n] = -c
-    basis = np.arange(n, n + m)
+    if start is None:
+        tableau[:m, :n] = A
+        tableau[:m, n:-1] = np.eye(m)
+        tableau[:m, -1] = b
+        tableau[-1, :n] = -c
+        basis = np.arange(n, n + m)
+    else:
+        old = start.x.size
+        # the slack block holds B^-1 over the prices y
+        tableau[:, :old] = start.tableau[:, :old]
+        tableau[:, old:n] = start.tableau[:, old:-1] @ A[:, old:]
+        tableau[-1, old:n] -= c[old:]
+        tableau[:, n:] = start.tableau[:, old:]
+        basis = np.where(start.basis >= old, start.basis + (n - old), start.basis)
     iterations = degenerate = 0
     while (col := _entering(tableau[-1, :-1], degenerate >= _DEGENERATE_RUN)) is not None:
         row = _leaving(tableau, col, basis)
@@ -143,7 +164,9 @@ def simplex_solve(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> LpSolution:
     if (residual > FEASIBILITY_TOL).any():
         i = int(np.argmax(residual > FEASIBILITY_TOL))
         raise RuntimeError(f"reported optimum violates row {i} by {float(residual[i])!r}")
-    return LpSolution(x=x, y=tableau[-1, n:-1].copy(), iterations=iterations)
+    return LpSolution(
+        x=x, y=tableau[-1, n:-1].copy(), iterations=iterations, tableau=tableau, basis=basis
+    )
 
 
 # --- rate bounds ---
@@ -195,30 +218,36 @@ def _solve_moment_lp(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the moment LP; returns (certified value, grid, masses, row prices).
 
-    Column generation: each round solves, from scratch, the LP restricted to
-    a working set W of grid points, then prices every grid point t by its
-    reduced cost -log(1-t) - sum y(i) t^(i-1) and adds to W each local
-    maximum of it above PIVOT_TOL. With none left, the prices y are optimal
-    for the whole grid. The masses on W, zero elsewhere, are then scaled
-    down until every moment row holds exactly in float64 on their support,
-    and the value is theirs, so it is a lower bound on r(z) without the
-    simplex's tolerance.
+    Column generation: each round solves the LP restricted to a working set
+    W of grid points, starting from the previous round's final basis, then
+    prices every grid point t by its reduced cost
+    -log(1-t) - sum y(i) t^(i-1) and adds to W each local maximum of it
+    above PIVOT_TOL. With none left, the prices y are optimal for the whole
+    grid. The masses on W, zero elsewhere, are then scaled down until every
+    moment row holds exactly in float64 on their support, taken in grid
+    order, and the value is theirs, so it is a lower bound on r(z) without
+    the simplex's tolerance.
     """
     validate_target(z, grid_step)
     xs, c, b = build_outer_bound_problem(z, grid_step)
     # about two points per moment row, evenly spaced, the first 0 and the last z
     working = np.zeros(xs.size, dtype=bool)
     working[np.linspace(0, xs.size - 1, 2 * b.size + 2).astype(np.intp)] = True
+    cols = np.flatnonzero(working)
+    solution = None
     while True:
-        cols = np.flatnonzero(working)
-        solution = simplex_solve(c[cols], _moment_columns(xs[cols], b.size), b)
+        # W in the order its points joined, so each round extends the last LP
+        solution = simplex_solve(c[cols], _moment_columns(xs[cols], b.size), b, solution)
         reduced = c - _power_sum(np.arange(b.size), solution.y, xs)
         peaks = _local_maxima(reduced)
         peaks = peaks[(reduced[peaks] > PIVOT_TOL) & ~working[peaks]]
         if not peaks.size:
             break
         working[peaks] = True
-    support, weights = cols[solution.x != 0.0], solution.x[solution.x != 0.0]
+        cols = np.concatenate((cols, peaks))
+    nonzero = solution.x != 0.0
+    order = np.argsort(cols[nonzero])
+    support, weights = cols[nonzero][order], solution.x[nonzero][order]
     rows = _moment_columns(xs[support], b.size)
     moments = rows @ weights
     while (over := moments > b).any():
@@ -229,6 +258,16 @@ def _solve_moment_lp(
     return float(np.dot(c[support], weights)), xs, masses, solution.y
 
 
+# within one outer_bound_curve call, _solve_moment_lp keeping its last solve,
+# so that dual_outer_bound and primal_min_r of one z share it; else None
+_CURVE_SOLVE: ContextVar[Callable | None] = ContextVar("_CURVE_SOLVE", default=None)
+
+
+def _moment_lp(z: float, grid_step: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """_solve_moment_lp(z, grid_step), solved once per z within outer_bound_curve."""
+    return (_CURVE_SOLVE.get() or _solve_moment_lp)(z, grid_step)
+
+
 def dual_outer_bound(z: float, grid_step: float = DEFAULT_LP_GRID_STEP) -> float:
     """Lower bound on the least rate r(z) achievable by ANY distribution.
 
@@ -236,14 +275,14 @@ def dual_outer_bound(z: float, grid_step: float = DEFAULT_LP_GRID_STEP) -> float
     Any feasible point of that LP bounds r(z) from below, so the value is a
     true outer bound regardless of grid resolution.
     """
-    return _solve_moment_lp(z, grid_step)[0]
+    return _moment_lp(z, grid_step)[0]
 
 
 def dual_outer_bound_details(
     z: float, grid_step: float = DEFAULT_LP_GRID_STEP
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Outer bound plus the grid and the feasible masses that give it."""
-    value, xs, masses, _ = _solve_moment_lp(z, grid_step)
+    value, xs, masses, _ = _moment_lp(z, grid_step)
     return value, xs, masses
 
 
@@ -284,7 +323,7 @@ def primal_min_r(
 
     Returns (distribution with P(i) = a(i)/r, r = sum a(i)).
     """
-    lower, _, _, prices = _solve_moment_lp(z, grid_step)
+    lower, _, _, prices = _moment_lp(z, grid_step)
     y = np.clip(prices, 0.0, None)
     degrees = np.arange(1, y.size + 1)
     factor = max(1.0, _worst_ratio(z, grid_step, y))
@@ -332,10 +371,19 @@ class BoundCurve:
 def outer_bound_curve(
     z_values: Sequence[float], grid_step: float = DEFAULT_LP_GRID_STEP
 ) -> BoundCurve:
-    """Outer bound and primal value for each z, in input order."""
+    """Outer bound and primal value for each z, in input order.
+
+    Both come from one moment-LP solve per z, kept only for this call.
+    """
     rows = []
-    for z in z_values:
-        lower = dual_outer_bound(z, grid_step)
-        _, upper = primal_min_r(z, grid_step)
-        rows.append(BoundRow(z=z, r_lower_dual=lower, r_upper_primal=upper, m=max_useful_degree(z)))
+    token = _CURVE_SOLVE.set(functools.lru_cache(maxsize=1)(_solve_moment_lp))
+    try:
+        for z in z_values:
+            lower = dual_outer_bound(z, grid_step)
+            _, upper = primal_min_r(z, grid_step)
+            rows.append(
+                BoundRow(z=z, r_lower_dual=lower, r_upper_primal=upper, m=max_useful_degree(z))
+            )
+    finally:
+        _CURVE_SOLVE.reset(token)
     return BoundCurve(rows=tuple(rows))

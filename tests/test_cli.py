@@ -330,3 +330,24 @@ def test_simulate_caps_trial_cells_before_output(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, "simulate", "--degree1", "--k", "100", *argv)
     assert_rejected_before_output(code, out, err)
     assert "MAX_TRIAL_CELLS" in err
+
+
+@pytest.mark.parametrize("dist", [["--degree1"], ["--limiting-soliton", "50"]])
+@pytest.mark.parametrize("delta", ["nan", "-0.01", "1", "1.5", "inf"])
+def test_simulate_rejects_bad_realize_delta_before_output(capsys, monkeypatch, dist, delta):
+    # whether or not the distribution has degree-one mass to need it
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started with a bad realize-delta")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    code, out, err = run_cli(capsys, "simulate", *dist, "--k", "100", "--r", "0.5",
+                             "--realize-delta", delta)
+    assert_rejected_before_output(code, out, err)
+    assert "realize-delta" in err
+
+
+def test_analyze_rejects_non_finite_robust_c(capsys):
+    for c in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "analyze", "--robust", "100", c, "0.5", "--r", "1")
+        assert_rejected_before_output(code, out, err)
+        assert "c must be positive and finite" in err

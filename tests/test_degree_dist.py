@@ -102,6 +102,12 @@ def test_robust_soliton_degenerate():
         robust_soliton(4, 2.0, 0.5)  # k/R < 2
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_robust_soliton_rejects_bad_c(c):
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        robust_soliton(100, c, 0.5)
+
+
 def test_truncated_soliton_075_against_series_oracle():
     design = truncated_soliton(0.75)
     assert design.m == 3

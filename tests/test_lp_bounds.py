@@ -108,6 +108,42 @@ def test_simplex_dual_values_certify_optimum():
         assert float(sol.y @ b) == pytest.approx(float(c @ sol.x), abs=1e-8)
 
 
+def test_simplex_warm_start_matches_cold_solve():
+    # columns appended to a solved LP enter its final tableau; the warm
+    # start must reach the cold solve's optimum with dual-feasible prices
+    rng = np.random.default_rng(4321)
+    agreements = unbounded = idle = 0
+    for _ in range(100):
+        n0, m = (int(v) for v in rng.integers(1, 7, size=2))
+        extra = int(rng.integers(0, 7))
+        A = rng.normal(size=(m, n0 + extra)).round(3)
+        b = np.abs(rng.normal(scale=2.0, size=m)).round(3)
+        c = rng.normal(size=n0 + extra).round(3)
+        try:
+            first = simplex_solve(c[:n0], A[:, :n0], b)
+        except RuntimeError:
+            continue  # unbounded already on the first columns
+        try:
+            cold = simplex_solve(c, A, b)
+        except RuntimeError as exc:
+            assert "unbounded" in str(exc)
+            with pytest.raises(RuntimeError, match="unbounded"):
+                simplex_solve(c, A, b, first)
+            unbounded += 1
+            continue
+        warm = simplex_solve(c, A, b, first)
+        if extra == 0:  # nothing new to price in
+            assert warm.iterations == 0 and (warm.x == first.x).all()
+            idle += 1
+        assert float(c @ warm.x) == pytest.approx(float(c @ cold.x), abs=1e-9)
+        assert (A @ warm.x <= b + 1e-9).all() and (warm.x >= 0.0).all()
+        assert (warm.y >= -1e-9).all()
+        assert (A.T @ warm.y >= c - 1e-8).all()
+        assert float(warm.y @ b) == pytest.approx(float(c @ warm.x), abs=1e-8)
+        agreements += 1
+    assert agreements >= 30 and unbounded >= 1 and idle >= 1
+
+
 # --- outer bound (moment LP) ---
 
 def test_dual_outer_bound_small_targets():
@@ -230,6 +266,50 @@ def test_outer_masses_hold_every_moment_row_exactly():
         rows = _moment_columns(xs[support], rhs.size)
         assert (rows @ masses[support] <= rhs).all(), z
         assert value == float(np.dot(objective[support], masses[support]))
+
+
+def count_simplex_calls(monkeypatch):
+    """Wrap lp_bounds.simplex_solve; returns the list of each call's pivots."""
+    pivots = []
+    solve = lp_bounds.simplex_solve
+
+    def counted(*args):
+        solution = solve(*args)
+        pivots.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(lp_bounds, "simplex_solve", counted)
+    return pivots
+
+
+def test_warm_started_rounds_stay_within_pivot_budget(monkeypatch):
+    # restarting every round from the slack basis took 6,516 pivots here,
+    # over 1,000 in each of six rounds; the warm start redoes none of them
+    pivots = count_simplex_calls(monkeypatch)
+    _solve_moment_lp(0.995, 1e-4)
+    assert len(pivots) >= 2
+    assert sum(pivots) <= 1500, pivots
+
+
+def test_bound_curve_solves_once_per_z(monkeypatch):
+    cases = [0.75, 0.95]
+    pivots = count_simplex_calls(monkeypatch)
+    rounds = []
+    for z in cases:
+        pivots.clear()
+        _solve_moment_lp(z, 1e-3)
+        rounds.append(len(pivots))
+    assert rounds[1] > 1  # several column-generation rounds per solve
+    for _ in range(2):  # a second call keeps nothing from the first
+        pivots.clear()
+        curve = outer_bound_curve(cases, 1e-3)
+        assert len(pivots) == sum(rounds)
+    pivots.clear()  # nor does a call outside outer_bound_curve
+    dual_outer_bound(cases[-1], 1e-3)
+    assert len(pivots) == rounds[-1]
+    for row in curve.rows:
+        assert row.r_lower_dual == dual_outer_bound(row.z, 1e-3)
+        assert row.r_upper_primal == primal_min_r(row.z, 1e-3)[1]
 
 
 def test_moment_lp_against_scipy_oracle():
