@@ -65,6 +65,18 @@ def _design(z: float) -> tuple[DegreeDistribution, float, str]:
     return (*optimal_distribution(z), "r")
 
 
+def _robust_params(values: list[str]) -> tuple[int, float, float]:
+    """--robust K C DELTA parsed, with an error that names the bad value."""
+    parsed = []
+    for name, kind, text in zip(("K", "C", "DELTA"), (int, float, float), values):
+        try:
+            parsed.append(kind(text))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"--robust {name} must be {what}, got {text!r}") from None
+    return tuple(parsed)
+
+
 def _resolve_dist(args: argparse.Namespace) -> DegreeDistribution:
     if args.degree1:
         return DegreeDistribution.from_mapping({1: 1.0}, label="degree1")
@@ -75,8 +87,7 @@ def _resolve_dist(args: argparse.Namespace) -> DegreeDistribution:
     if args.limiting_soliton is not None:
         return limiting_soliton(args.limiting_soliton)
     if args.robust is not None:
-        k, c, delta = args.robust
-        return robust_soliton(int(k), float(c), float(delta))
+        return robust_soliton(*_robust_params(args.robust))
     if args.raptor is not None:
         return raptor_omega(args.raptor)
     if args.design_z is not None:

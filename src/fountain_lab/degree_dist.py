@@ -320,7 +320,10 @@ def raptor_omega(eps: float) -> DegreeDistribution:
     top = 4.0 * (1.0 + eps) / eps - 1e-9
     _check_max_degree(f"raptor_omega(eps={eps:g})", top + 1.0)
     D = math.ceil(top)
-    mu = eps / 2.0 + (eps / 2.0) ** 2
+    try:
+        mu = eps / 2.0 + (eps / 2.0) ** 2
+    except OverflowError:  # float ** raises where the square leaves float64
+        raise ValueError(f"eps={eps!r} too large: mu = eps/2 + (eps/2)^2 is not finite") from None
     masses = {1: mu / (1.0 + mu)}
     for i in range(2, D + 1):
         masses[i] = 1.0 / ((1.0 + mu) * i * (i - 1))

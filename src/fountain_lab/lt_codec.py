@@ -12,6 +12,13 @@ which is the same for every release order (Di, Proietti, Telatar, Richardson
 & Urbanke, IEEE Trans. IT 48, 2002), and when each payload is the XOR of its
 inputs, each recovered value is that input.
 
+Coded symbols travel as `CodedSymbols`: one read-only CSR graph (offsets,
+neighbors) and one n x B payload matrix. `encode` draws the graph block by
+block and XORs each block's payloads into the matrix as the block is drawn;
+`DecoderState` peels those arrays as they are, and packs any other sequence
+of `CodedSymbol` into them first. A `CodedSymbol` is built only when a
+caller indexes or iterates the sequence.
+
 Randomness is a SplitMix64 stream per output symbol: symbol i draws from
 SplitMix64 seeded with seed_i = mix64(seed + (i+1) * gamma), gamma =
 0x9E3779B97F4A7C15. The stream split makes encoding reproducible for a given
@@ -25,8 +32,9 @@ the draws of a whole block of symbols as one numpy uint64 expression.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -93,6 +101,59 @@ class CodedSymbol:
     @property
     def degree(self) -> int:
         return len(self.neighbors)
+
+
+class CodedSymbols(Sequence):
+    """n coded symbols as one read-only CSR graph and payload matrix.
+
+    Symbol i's sorted inputs are neighbors[offsets[i]:offsets[i+1]] and its
+    payload is payload[i]: offsets holds n+1 int64, neighbors int64, payload
+    n rows of uint8. Indexing and iteration build each CodedSymbol only when
+    it is asked for; `encode` and `DecoderState` use the arrays directly.
+    The rows must be checked (`_check_graph`) before they are wrapped.
+    """
+
+    __slots__ = ("offsets", "neighbors", "payload")
+
+    def __init__(self, offsets: np.ndarray, neighbors: np.ndarray, payload: np.ndarray) -> None:
+        for array in (offsets, neighbors, payload):
+            array.flags.writeable = False
+        self.offsets, self.neighbors, self.payload = offsets, neighbors, payload
+
+    @classmethod
+    def pack(cls, symbols: Sequence[CodedSymbol]) -> CodedSymbols:
+        """Flatten CodedSymbol objects, whose payloads must share one length."""
+        nbrs = [sym.neighbors for sym in symbols]
+        offsets = np.zeros(len(nbrs) + 1, dtype=np.int64)
+        np.add.accumulate(np.fromiter(map(len, nbrs), np.int64, len(nbrs)), out=offsets[1:])
+        neighbors = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64, int(offsets[-1]))
+        payloads = [sym.payload for sym in symbols]
+        if len(set(map(len, payloads))) > 1:
+            raise ValueError("all payloads must have the same length")
+        size = len(payloads[0]) if payloads else 0
+        payload = np.frombuffer(b"".join(payloads), np.uint8).reshape(len(payloads), size)
+        return cls(offsets, neighbors, payload)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # negative indices count from the end
+        first, end = int(self.offsets[i]), int(self.offsets[i + 1])
+        return CodedSymbol(tuple(self.neighbors[first:end].tolist()), self.payload[i].tobytes())
+
+    def __iter__(self) -> Iterator[CodedSymbol]:
+        nbrs, bounds = self.neighbors.tolist(), self.offsets.tolist()
+        size, blob = self.payload.shape[1], self.payload.tobytes()
+        for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
+            yield CodedSymbol(tuple(nbrs[first:end]), blob[i * size : (i + 1) * size])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 def xor_payload(inputs: Sequence[bytes], neighbors: Iterable[int]) -> bytes:
@@ -233,6 +294,28 @@ def _graph_blocks(
     )
 
 
+def _csr(blocks, n: int, visit=None) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, neighbors) of n symbols from their (degrees, neighbors) blocks.
+
+    visit(row, bounds, block), if given, sees each block as it is drawn:
+    row is the block's first symbol and bounds its own row offsets.
+    """
+    degrees = [np.empty(0, dtype=np.int64)]
+    neighbors = [np.empty(0, dtype=np.int64)]
+    row = 0
+    for deg, nb in blocks:
+        if visit is not None:
+            bounds = np.zeros(deg.size + 1, dtype=np.int64)
+            np.add.accumulate(deg, out=bounds[1:])
+            visit(row, bounds, nb)
+        row += deg.size
+        degrees.append(deg)
+        neighbors.append(nb)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(np.concatenate(degrees), out=offsets[1:])
+    return offsets, np.concatenate(neighbors)
+
+
 def sample_graph(
     dist: DegreeDistribution, k: int, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,17 +327,11 @@ def sample_graph(
     SplitMix64 stream: t = 1 picks the degree by inverse CDF, t = j+2 the
     j-th partial Fisher-Yates index, with rejection as in randbelow. All
     symbols of a block draw at once; the rare row with a rejected draw is
-    replayed one draw at a time. `encode` takes the same blocks one at a
-    time, so that the whole graph is never held beside its symbols.
+    replayed one draw at a time. `encode` draws the same blocks and XORs
+    each block's payloads while the block is drawn, so the edge-length
+    gather of input payloads never spans more than one block.
     """
-    degrees = [np.empty(0, dtype=np.int64)]
-    neighbors = [np.empty(0, dtype=np.int64)]
-    for deg, nb in _graph_blocks(dist, k, n, seed):
-        degrees.append(deg)
-        neighbors.append(nb)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.accumulate(np.concatenate(degrees), out=offsets[1:])
-    return offsets, np.concatenate(neighbors)
+    return _csr(_graph_blocks(dist, k, n, seed), n)
 
 
 def _check_graph(offsets: np.ndarray, neighbors: np.ndarray) -> None:
@@ -274,31 +351,25 @@ def encode(
     dist: DegreeDistribution,
     n: int,
     rng_seed: int,
-) -> list[CodedSymbol]:
+) -> CodedSymbols:
     """Generate n coded symbols from k input packets; deterministic in rng_seed."""
     k = len(inputs)
     if k < 1:
         raise ValueError("need at least one input packet")
     size = len(inputs[0])
-    if any(len(data) != size for data in inputs):
+    if len(set(map(len, inputs))) > 1:
         raise ValueError("all input packets must have the same length")
     blocks = _graph_blocks(dist, k, n, rng_seed)
     data = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(k, size)
-    symbols = []
-    new, setattr_ = object.__new__, object.__setattr__
-    for deg, block in blocks:
-        bounds = np.zeros(deg.size + 1, dtype=np.int64)
-        np.add.accumulate(deg, out=bounds[1:])
+    payload = np.empty((n, size), dtype=np.uint8)
+
+    def xor_block(row: int, bounds: np.ndarray, block: np.ndarray) -> None:
         _check_graph(bounds, block)
-        payload = np.bitwise_xor.reduceat(data[block], bounds[:-1], axis=0).tobytes()
-        nbrs, bounds = block.tolist(), bounds.tolist()
-        for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
-            # _check_graph has checked every row: set the frozen fields directly
-            sym = new(CodedSymbol)
-            setattr_(sym, "neighbors", tuple(nbrs[first:end]))
-            setattr_(sym, "payload", payload[i * size : (i + 1) * size])
-            symbols.append(sym)
-    return symbols
+        np.bitwise_xor.reduceat(data[block], bounds[:-1], axis=0,
+                                out=payload[row : row + bounds.size - 1])
+
+    offsets, neighbors = _csr(blocks, n, xor_block)
+    return CodedSymbols(offsets, neighbors, payload)
 
 
 def _row_edges(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,20 +425,14 @@ class DecoderState:
     def __init__(self, symbols: Sequence[CodedSymbol], k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
-        nbrs = [sym.neighbors for sym in symbols]
-        self.offsets = np.zeros(len(nbrs) + 1, dtype=np.int64)
-        np.add.accumulate(np.fromiter(map(len, nbrs), np.int64, len(nbrs)), out=self.offsets[1:])
-        self.neighbors = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64,
-                                     int(self.offsets[-1]))
+        if not isinstance(symbols, CodedSymbols):
+            symbols = CodedSymbols.pack(symbols)
+        self.offsets, self.neighbors, self.payload = (
+            symbols.offsets, symbols.neighbors, symbols.payload)
         last = self.neighbors[self.offsets[1:] - 1]
         if np.any(last >= k):
             raise ValueError(f"symbol references input {last[last >= k][0]} >= k={k}")
-        payloads = [sym.payload for sym in symbols]
-        if len(set(map(len, payloads))) > 1:
-            raise ValueError("all payloads must have the same length")
-        self.payload_size = len(payloads[0]) if payloads else 0
-        self.payload = np.frombuffer(b"".join(payloads), np.uint8).reshape(
-            len(payloads), self.payload_size)
+        self.payload_size = self.payload.shape[1]
         self.k, self.decoded_count, self.edge_removals = k, 0, 0
 
     def run(self) -> None:

@@ -30,10 +30,11 @@ from .lt_codec import decode, encode, mix64
 
 RECEIVE_MODELS = ("deterministic_n", "poisson_n")
 
-# cap on n = r*k, the coded symbols of one trial; the encoded symbols plus
-# the decoder's arrays peak at about 1.35 kB per symbol at mean degree 19
-# (robust_soliton(10**5, 0.1, 0.5) at r = 1.3, traced with tracemalloc), so
-# a trial at the cap takes ~1.35 GB
+# cap on n = r*k, the coded symbols of one trial; a trial's inputs, CSR
+# graph, payload matrix and decoder arrays peak at about 0.48 kB per symbol
+# at mean degree 19 and 1-byte symbols, and about 1.47 kB at 256-byte
+# symbols (robust_soliton(10**5, 0.1, 0.5), k = 10**5, r = 1.3, traced with
+# tracemalloc), so a trial at the cap takes ~0.5 GB, ~1.5 GB at 256 bytes
 MAX_SYMBOLS = 10**6
 # caps on k, the inputs of one trial, and on the payload bytes per symbol;
 # with MAX_SYMBOLS they hold a trial's payloads to (MAX_K + MAX_SYMBOLS) *

@@ -351,3 +351,25 @@ def test_analyze_rejects_non_finite_robust_c(capsys):
         code, out, err = run_cli(capsys, "analyze", "--robust", "100", c, "0.5", "--r", "1")
         assert_rejected_before_output(code, out, err)
         assert "c must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--raptor", "1e300", "--r", "1"],
+    ["analyze", "--raptor", "2.7e154", "--r", "1"],
+    ["compare", "--eps", "1e300", "--delta", "0.05"],
+])
+def test_raptor_eps_with_overflowing_mu_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_rejected_before_output(code, out, err)
+    assert "eps=" in err
+
+
+@pytest.mark.parametrize("values, message", [
+    (["1e3", "0.1", "0.5"], "--robust K must be an integer, got '1e3'"),
+    (["100", "abc", "0.5"], "--robust C must be a number, got 'abc'"),
+    (["100", "0.1", "x"], "--robust DELTA must be a number, got 'x'"),
+])
+def test_analyze_names_the_robust_value_that_does_not_parse(capsys, values, message):
+    code, out, err = run_cli(capsys, "analyze", "--robust", *values, "--r", "1")
+    assert_rejected_before_output(code, out, err)
+    assert message in err

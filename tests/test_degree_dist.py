@@ -189,6 +189,14 @@ def test_raptor_omega_sums_to_one(eps):
     assert_valid(raptor_omega(eps))
 
 
+def test_raptor_omega_rejects_eps_whose_mu_overflows():
+    # mu = eps/2 + (eps/2)^2 leaves float64 just above eps = 2 * sqrt(max float)
+    assert_valid(raptor_omega(2.6e154))
+    for eps in (2.7e154, 1e300, 1.7e308):
+        with pytest.raises(ValueError, match="eps="):
+            raptor_omega(eps)
+
+
 def test_perturb_examples():
     deg2 = DegreeDistribution.from_mapping({2: 1.0})
     assert perturb(deg2, 0.1).as_dict() == pytest.approx({1: 0.1, 2: 0.9})

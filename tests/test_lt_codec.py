@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,7 @@ from fountain_lab import (
     write_symbols,
 )
 from fountain_lab import lt_codec, sim_harness
-from fountain_lab.lt_codec import sample_graph, xor_payload
+from fountain_lab.lt_codec import CodedSymbols, sample_graph, xor_payload
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0})
 DEG2 = DegreeDistribution.from_mapping({2: 1.0})
@@ -95,6 +96,56 @@ def test_encode_deterministic_and_seed_sensitive():
     c = encode(inputs, ideal_soliton(40), 60, rng_seed=124)
     assert a == b
     assert a != c
+
+
+def test_coded_symbols_sequence():
+    rng = np.random.default_rng(21)
+    k, nbytes = 30, 3
+    inputs = random_inputs(rng, k, nbytes)
+    symbols = encode(inputs, ideal_soliton(k), 25, rng_seed=8)
+    assert isinstance(symbols, CodedSymbols) and len(symbols) == 25
+    buf = io.StringIO()
+    write_symbols(symbols, buf)
+    plain = read_symbols(io.StringIO(buf.getvalue()))
+    assert list(symbols) == plain
+    assert symbols == plain and plain == symbols and symbols == tuple(plain)
+    assert symbols != plain[:-1] and symbols != plain[::-1]
+    for i in (0, 7, 24, -1, -25):
+        assert symbols[i] == plain[i]
+        assert symbols[i].payload == xor_payload(inputs, symbols[i].neighbors)
+    assert symbols[3:9] == plain[3:9] and symbols[::-4] == plain[::-4]
+    for i in (25, -26):
+        with pytest.raises(IndexError):
+            symbols[i]
+    for array in (symbols.offsets, symbols.neighbors, symbols.payload):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert symbols.payload.shape == (25, nbytes) and symbols.offsets.size == 26
+
+
+def test_encode_no_symbols():
+    symbols = encode([b"\x01\x02"] * 3, DEG1, 0, rng_seed=1)
+    assert len(symbols) == 0 and symbols == [] and list(symbols) == []
+    assert symbols.offsets.tolist() == [0] and symbols.neighbors.size == 0
+    assert symbols.payload.shape == (0, 2)
+    assert decode(symbols, 3) == ([None] * 3, 0)
+
+
+def test_encode_peak_memory_stays_below_a_whole_graph_gather():
+    # 256-byte symbols: gathering data[neighbors] over the whole graph at
+    # once would allocate edges * 256 bytes; encode XORs one block at a time
+    k, n, nbytes = 1000, 8000, 256
+    inputs = golden_inputs(k, nbytes, 5)
+    tracemalloc.start()
+    try:
+        symbols = encode(inputs, DegreeDistribution.from_mapping({8: 0.5, 12: 0.5}), n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gather = symbols.neighbors.size * nbytes
+    assert gather > 8 * n * nbytes  # every symbol has degree 8 or 12
+    assert peak < gather / 2
 
 
 def test_encode_uniform_pair_statistics():
@@ -431,6 +482,25 @@ def test_decode_order_independent():
         for i, value in enumerate(values):
             if value is not None:
                 assert value == inputs[i]
+
+
+def test_decoder_state_reads_encode_arrays_as_packed_objects():
+    rng = np.random.default_rng(44)
+    k, nbytes = 300, 2
+    inputs = random_inputs(rng, k, nbytes)
+    symbols = encode(inputs, robust_soliton(k, 0.1, 0.5), 280, rng_seed=17)
+    direct, packed = DecoderState(symbols, k), DecoderState(list(symbols), k)
+    assert direct.payload is symbols.payload and direct.neighbors is symbols.neighbors
+    for state in (direct, packed):
+        state.run()
+    assert direct.decoded_count > 0
+    for name in ("offsets", "neighbors", "payload", "residual_degree", "decoded", "values"):
+        assert np.array_equal(getattr(direct, name), getattr(packed, name)), name
+    assert (direct.edge_removals, direct.decoded_count) == (
+        packed.edge_removals, packed.decoded_count)
+    assert decode(symbols, k) == decode(list(symbols), k)
+    with pytest.raises(ValueError, match="references input"):
+        DecoderState(symbols, int(symbols.neighbors.max()))
 
 
 def test_decode_xor_consistency_and_work_bound():
