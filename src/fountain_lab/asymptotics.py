@@ -16,7 +16,9 @@ up to grid resolution, deterministically.
 
 Every P'(t) here is a call of pgf_derivative, whose one chunked evaluator
 drops the terms with t^(d-1) < e^-46 ~ 1e-20 (moving P'(t) by less than 1e-20
-times the mean degree) and never builds the full t x degree matrix.
+times the mean degree). Its chunks hold at most 2^16 powers of t: near t = 1
+on a 10^4-degree support that is a baby-step/giant-step split, about 200
+powers per point and one 100 x 100 weight grid, not 10^4 powers per point.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ def peeling_margin(t, r: float, dist: DegreeDistribution) -> float | np.ndarray:
     arr = np.asarray(t, dtype=np.float64)
     if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) >= 1.0):
         raise ValueError("t must lie in [0, 1)")
-    out = r * pgf_derivative(dist, arr) + np.log1p(-arr)
-    return float(out) if arr.ndim == 0 else out
+    deriv = pgf_derivative(dist, arr)
+    if arr.ndim == 0:  # floats: r * P'(t) overflows to +inf, silently
+        return float(float(r) * deriv + np.log1p(-arr))
+    with np.errstate(over="ignore"):  # +inf is the margin's right sign
+        return r * deriv + np.log1p(-arr)
 
 
 def validate_grid(grid_step: float, refine_tol: float | None = None) -> None:
@@ -106,15 +111,16 @@ def _crossing(
 
     n_pts = int(round(1.0 / grid_step))
     weak, hit = [], None
-    for start in range(0, n_pts, _SCAN_CHUNK):
-        ts = np.arange(start, min(start + _SCAN_CHUNK, n_pts)) * grid_step
-        vals = r * pgf_derivative(dist, ts) + np.log1p(-ts)
-        bad = np.flatnonzero(vals < -refine_tol)
-        end = int(bad[0]) if bad.size else ts.size
-        weak.append(ts[:end][vals[:end] <= refine_tol])
-        if bad.size:
-            hit = start + end
-            break
+    with np.errstate(over="ignore"):  # as in peeling_margin
+        for start in range(0, n_pts, _SCAN_CHUNK):
+            ts = np.arange(start, min(start + _SCAN_CHUNK, n_pts)) * grid_step
+            vals = r * pgf_derivative(dist, ts) + np.log1p(-ts)
+            bad = np.flatnonzero(vals < -refine_tol)
+            end = int(bad[0]) if bad.size else ts.size
+            weak.append(ts[:end][vals[:end] <= refine_tol])
+            if bad.size:
+                hit = start + end
+                break
     weak = np.concatenate(weak)
     if hit is None:
         return 1.0, weak

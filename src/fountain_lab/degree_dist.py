@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Mapping, Union
+from typing import IO, Callable, Mapping, Union
 
 import numpy as np
 
@@ -31,7 +31,8 @@ MAX_DEGREE = 10**6
 # by less than 1e-20 times its weights' total (the mean degree, for P'(t))
 _TRUNC_LOG = 46.0
 
-# most powers (rows x kept exponents) one chunk of a power sum holds: 512 KiB
+# most powers of t (or partial sums) one chunk of a power sum holds, besides
+# the split path's weight grid: 512 KiB of float64
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -123,13 +124,68 @@ def _kept_terms(exponents: np.ndarray, t_max: float) -> int:
     return exponents.size
 
 
+def _split(e_max: int) -> tuple[int, int]:
+    """Baby step b = isqrt(e_max) + 1 and top giant step q_max = e_max // b.
+
+    Each e <= e_max is q*b + r with 0 <= q <= q_max < b and 0 <= r < b.
+    """
+    b = math.isqrt(e_max) + 1
+    return b, e_max // b
+
+
+def _dense_sum(exponents: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.power.outer(t, exponents) @ weights
+
+
+def _split_sum(exponents: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The same sum by Paterson & Stockmeyer's baby-step/giant-step split.
+
+    With e = q*b + r the weights go into a (q_max + 1) x b grid W, and each
+    point's sum is (t^(b*q) @ W) . t^r. Both power tables come straight from
+    t, not from repeated products, so each term is a product of two
+    correctly rounded powers.
+    """
+    b, q_max = _split(int(exponents[-1]))
+    cells = (q_max + 1) * b
+    grid = np.bincount(exponents, weights, cells).reshape(q_max + 1, b)
+    out = np.power.outer(t, np.arange(0, cells, b)) @ grid
+    out *= np.power.outer(t, np.arange(b))
+    return out.sum(axis=1)
+
+
+def _plan(exponents: np.ndarray, points: int) -> tuple[int, Callable]:
+    """Points per chunk and the chunk evaluator for these kept exponents.
+
+    Counting a power, a multiply-add and a multiply as one step each, the
+    dense path does 2*cols steps per point (cols = len(exponents)) and holds
+    cols powers. The split does b + q_max + 1 powers, (q_max + 1)*b
+    multiply-adds against W, b multiplies by t^r and b adds along the row;
+    it holds at most 2b numbers per point (q_max + 1 <= b), and fills W's
+    (q_max + 1)*b cells once per chunk. It is taken when those steps, with
+    W's fill shared by the chunk's points, come to fewer per point. So W
+    then has fewer than 2*cols cells, and short supports, few points and
+    sparse wide supports stay on the dense path.
+    """
+    cols = exponents.size
+    b, q_max = _split(int(exponents[-1]))
+    cells = (q_max + 1) * b
+    rows = min(points, _CHUNK_ELEMENTS // (2 * b))
+    if rows > 0 and b + q_max + 1 + cells + 2 * b + cells / rows < 2 * cols:
+        return rows, _split_sum
+    return max(1, _CHUNK_ELEMENTS // cols), _dense_sum
+
+
 def _power_sum(exponents: np.ndarray, weights: np.ndarray, t) -> float | np.ndarray:
     """sum_e weights[e] * t^exponents[e] for t in [0, 1] (scalar or array).
 
-    The one evaluator behind pgf_eval and pgf_derivative; exponents ascend.
-    Each chunk of at most _CHUNK_ELEMENTS powers (one row at least) drops the
-    exponents e with t_max^e < exp(-_TRUNC_LOG), t_max its largest t, so the
-    full t x degree matrix is never built. Ascending t truncate best.
+    The one evaluator behind pgf_eval and pgf_derivative; exponents are
+    nonnegative and ascend. The t go in chunks of at most _CHUNK_ELEMENTS
+    powers or partial sums (one point at least), all on the path _plan
+    picks for the exponents kept at the largest t: dense powers, or the
+    baby-step/giant-step split, which needs about 2*sqrt(e_max) powers per
+    point instead of one per exponent, plus its weight grid. Each chunk
+    drops the exponents e with t_max^e < exp(-_TRUNC_LOG), t_max its own
+    largest t, so it holds no more than planned. Ascending t truncate best.
     """
     arr = np.asarray(t, dtype=np.float64)
     flat = arr.ravel()
@@ -140,15 +196,15 @@ def _power_sum(exponents: np.ndarray, weights: np.ndarray, t) -> float | np.ndar
     if t_min < 0.0 or t_max > 1.0:
         raise ValueError("t must lie in [0, 1]")
     cols = _kept_terms(exponents, t_max)
-    rows = max(1, _CHUNK_ELEMENTS // cols)
+    rows, chunk_sum = _plan(exponents[:cols], flat.size)
     if flat.size <= rows:
-        out = np.power.outer(flat, exponents[:cols]) @ weights[:cols]
+        out = chunk_sum(exponents[:cols], weights[:cols], flat)
     else:
         out = np.empty(flat.size)
         for i in range(0, flat.size, rows):
             chunk = flat[i : i + rows]
             cols = _kept_terms(exponents, float(chunk.max()))
-            out[i : i + rows] = np.power.outer(chunk, exponents[:cols]) @ weights[:cols]
+            out[i : i + rows] = chunk_sum(exponents[:cols], weights[:cols], chunk)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ def test_s_of_r_finite_soliton_keeps_a_sliver():
 
 def test_s_of_r_knife_edge_returns_one():
     assert s_of_r(1.0, limiting_soliton(10_000)) == 1.0
+
+
+def test_huge_rate_gives_infinite_margin_without_warning():
+    # r * P'(t) overflows to +inf, which is the margin's right sign: s = 1
+    dist = ideal_soliton(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e308, np.finfo(float).max):
+            assert peeling_margin(0.99, r, dist) == math.inf  # P'(0.99) > 4
+            margins = peeling_margin(np.array([0.0, 0.5, 0.99]), r, dist)
+            assert np.all(margins > 1e305) and margins[-1] == math.inf
+            assert s_of_r(r, dist) == 1.0
+            assert check_margin_condition(r, dist)
 
 
 def test_s_of_r_monotone_in_r():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -185,6 +186,15 @@ def test_analyze_rejects_bad_rates_before_header(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_analyze_huge_rate_recovers_everything_without_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", "--soliton", "100",
+                                 "--r", "1e308", "--r", "1.7976931348623157e308")
+    assert (code, err) == (0, "")
+    assert [float(row["s"]) for row in csv_rows(out)] == [1.0, 1.0]
 
 
 def test_bound_solves_where_the_whole_grid_simplex_failed(capsys):

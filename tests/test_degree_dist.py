@@ -363,18 +363,85 @@ def test_power_sum_at_chunk_boundary(monkeypatch, budget, extra):
     assert_matches_dense(dist, ts[::-1])
 
 
-def test_power_sum_holds_one_chunk_at_a_time():
-    # the points near t = 1 keep all 2,000 exponents; the dense matrix is 32 MB
-    exponents = np.arange(2000)
-    weights = np.full(2000, 1e-3)
-    ts = np.linspace(0.0, 1.0, 2000)
+def dense_rows(exponents, weights, ts):
+    """The dense sum one point at a time, so long supports need no big matrix."""
+    return np.array([np.power(t, exponents) @ weights for t in ts])
+
+
+def test_power_sum_matches_dense_on_long_contiguous_support():
+    # exponents 0..10^5: near t = 1 every one is kept, and the split's grid
+    # holds 316 x 317 cells against 10^5 powers per point
+    rng = np.random.default_rng(23)
+    exponents = np.arange(100_001)
+    weights = rng.random(exponents.size)
+    ts = np.concatenate(([0.0, 1.0], rng.random(30), 1.0 - rng.random(30) * 1e-3))
+    got, want = degree_dist._power_sum(exponents, weights, ts), dense_rows(exponents, weights, ts)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=2e-20 * weights.sum())
+
+
+@pytest.mark.parametrize("size", [50, 200, 3000])
+def test_power_sum_matches_dense_on_mixed_sign_weights(size):
+    # LP prices y(i) take either sign, so terms cancel: compare each sum
+    # against the size of its terms, sum |w| t^e
+    rng = np.random.default_rng(size)
+    exponents = np.arange(size)
+    weights = rng.standard_normal(size)
+    ts = np.sort(np.concatenate(([0.0, 1.0], rng.random(997))))
+    got = degree_dist._power_sum(exponents, weights, ts)
+    want = dense_rows(exponents, weights, ts)
+    scale = dense_rows(exponents, np.abs(weights), ts)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("size", [5, 3000])
+@pytest.mark.parametrize("first", [0, 1])
+def test_power_sum_at_zero_and_one(size, first):
+    # 0^0 = 1 on both paths: at t = 0 only the exponent 0 counts, exactly;
+    # at t = 1 the sum is the weights' total
+    exponents = np.arange(first, first + size)
+    weights = np.random.default_rng(3).random(size)
+    ts = np.linspace(0.0, 1.0, 1001)
+    for points in (ts, ts[::-1], np.array([0.0, 1.0])):
+        got = degree_dist._power_sum(exponents, weights, points)
+        ends = got[points == 0.0], got[points == 1.0]
+        assert np.all(ends[0] == (weights[0] if first == 0 else 0.0))
+        np.testing.assert_allclose(ends[1], math.fsum(weights), rtol=1e-13)
+    assert degree_dist._power_sum(exponents, weights, 0.0) == (weights[0] if first == 0 else 0.0)
+
+
+def test_power_sum_keeps_sparse_wide_supports_dense():
+    # 100 degrees over [1, 10^6]: a baby-step/giant-step grid would hold
+    # 10^6 cells (8 MB) for 100 weights, so the sum stays on the dense path
+    rng = np.random.default_rng(31)
+    exponents = np.sort(rng.choice(np.arange(1, 10**6 + 1), size=100, replace=False))
+    exponents[-1] = 10**6
+    weights = rng.random(100)
+    ts = np.concatenate(([0.0, 1.0], 1.0 - rng.random(2000) * 1e-7))
     tracemalloc.start()
     try:
-        degree_dist._power_sum(exponents, weights, ts)
+        got = degree_dist._power_sum(exponents, weights, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    np.testing.assert_allclose(got, dense_rows(exponents, weights, ts),
+                               rtol=1e-13, atol=2e-20 * weights.sum())
     assert peak < 8 * degree_dist._CHUNK_ELEMENTS + 2**20
+
+
+def test_power_sum_holds_one_chunk_at_a_time():
+    # the points near t = 1 keep all 2,000 exponents; the dense matrix is
+    # 32 MB. The contiguous support takes the split path (2 x 45 numbers per
+    # point plus a 45 x 45 grid), the sparser one the dense path
+    weights = np.full(2000, 1e-3)
+    ts = np.linspace(0.0, 1.0, 2000)
+    for exponents in (np.arange(2000), np.arange(0, 4000, 2)):
+        tracemalloc.start()
+        try:
+            degree_dist._power_sum(exponents, weights, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * degree_dist._CHUNK_ELEMENTS + 2**20
 
 
 # --- validation and text format ---
