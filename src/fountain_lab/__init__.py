@@ -38,7 +38,6 @@ from .lp_bounds import (
 )
 from .lt_codec import (
     CodedSymbol,
-    DecoderState,
     decode,
     encode,
     read_symbols,
@@ -82,7 +81,6 @@ __all__ = [
     "outer_bound_curve",
     "primal_min_r",
     "CodedSymbol",
-    "DecoderState",
     "decode",
     "encode",
     "read_symbols",

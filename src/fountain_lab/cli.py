@@ -184,7 +184,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trials=args.trials,
         receive_model=args.receive_model,
         base_seed=args.seed,
-        symbol_bytes=args.symbol_bytes,
     )
     result = sweep(config, annotate_asymptotic=not args.no_asymptotic)
     with _output(args.output) as out:
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="deterministic_n",
     )
     p.add_argument("--seed", type=int, default=20240601)
-    p.add_argument("--symbol-bytes", type=int, default=1)
     p.add_argument(
         "--realize-delta", type=float, default=0.01,
         help="degree-one mass granted to distributions that have none (0 disables)",

@@ -456,7 +456,12 @@ def read_distribution(src: Union[str, Path, IO[str]], label: str = "") -> Degree
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'degree<TAB>mass', got {raw!r}")
-        degree, mass = int(parts[0]), float(parts[1])
+        try:
+            degree, mass = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(
+                f"line {lineno}: expected an integer degree and a float mass, got {raw!r}"
+            ) from exc
         if degree in masses:
             raise ValueError(f"line {lineno}: duplicate degree {degree}")
         masses[degree] = mass

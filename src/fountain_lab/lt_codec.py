@@ -477,8 +477,7 @@ def read_symbols(src: IO[str]) -> list[CodedSymbol]:
         try:
             idx_part, hex_part = line.split("\t")
             neighbors = tuple(int(v) for v in idx_part.split(","))
-            payload = bytes.fromhex(hex_part)
+            out.append(CodedSymbol(neighbors, bytes.fromhex(hex_part)))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad symbol record {raw!r}") from exc
-        out.append(CodedSymbol(neighbors, payload))
+            raise ValueError(f"line {lineno}: bad symbol record {raw!r}: {exc}") from exc
     return out

@@ -32,15 +32,13 @@ RECEIVE_MODELS = ("deterministic_n", "poisson_n")
 
 # cap on n = r*k, the coded symbols of one trial; a trial's inputs, CSR
 # graph, payload matrix and decoder arrays peak at about 0.48 kB per symbol
-# at mean degree 19 and 1-byte symbols, and about 1.47 kB at 256-byte
-# symbols (robust_soliton(10**5, 0.1, 0.5), k = 10**5, r = 1.3, traced with
-# tracemalloc), so a trial at the cap takes ~0.5 GB, ~1.5 GB at 256 bytes
+# at mean degree 19 (robust_soliton(10**5, 0.1, 0.5), k = 10**5, r = 1.3,
+# traced with tracemalloc), so a trial at the cap takes about 0.5 GB
 MAX_SYMBOLS = 10**6
-# caps on k, the inputs of one trial, and on the payload bytes per symbol;
-# with MAX_SYMBOLS they hold a trial's payloads to (MAX_K + MAX_SYMBOLS) *
-# MAX_SYMBOL_BYTES bytes, about 512 MB
+# cap on k, the inputs of one trial; a trial takes about 90 bytes per input
+# besides its coded symbols (k = 10**6, n = 1000, traced with tracemalloc),
+# so k at the cap adds about 90 MB
 MAX_K = 10**6
-MAX_SYMBOL_BYTES = 256
 # cap on trials * len(r_values), the (r, trial) cells of one sweep; sweep
 # lists every cell and every result before aggregating, about 130 bytes a
 # cell, so the cap holds those lists to about 130 MB
@@ -55,7 +53,6 @@ class SimulationConfig:
     trials: int
     receive_model: str = "deterministic_n"
     base_seed: int = 0
-    symbol_bytes: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -80,11 +77,6 @@ class SimulationConfig:
                 )
         if self.receive_model not in RECEIVE_MODELS:
             raise ValueError(f"unknown receive model {self.receive_model!r}")
-        if not 1 <= self.symbol_bytes <= MAX_SYMBOL_BYTES:
-            raise ValueError(
-                f"symbol_bytes={self.symbol_bytes} outside "
-                f"[1, MAX_SYMBOL_BYTES = {MAX_SYMBOL_BYTES}]"
-            )
         object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
 
     def digest(self) -> str:
@@ -96,7 +88,6 @@ class SimulationConfig:
                 str(self.trials),
                 self.receive_model,
                 str(self.base_seed),
-                str(self.symbol_bytes),
             ]
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -118,7 +109,8 @@ def run_trial(config: SimulationConfig, r: float, trial_index: int) -> float:
         n = int(rng.poisson(r * config.k))
     else:
         n = int(round(r * config.k))
-    raw = rng.integers(0, 256, size=(config.k, config.symbol_bytes), dtype=np.uint8)
+    # one byte per input: the decoded fraction does not depend on the width
+    raw = rng.integers(0, 256, size=(config.k, 1), dtype=np.uint8)
     inputs = [row.tobytes() for row in raw]
     if n == 0:
         return 0.0
@@ -182,15 +174,17 @@ def sweep(
     """Run all (r, trial) cells and aggregate per r (rows sorted by r).
 
     Per-trial seeding makes the output identical for any worker count; the
-    worker pool (FOUNTAIN_LAB_THREADS or the workers argument) only changes
-    wall-clock time. Each worker receives the config once, when it starts;
+    worker pool (FOUNTAIN_LAB_THREADS or the workers argument, capped at the
+    number of cells and of CPUs) only changes wall-clock time. Each worker receives the config once, when it starts;
     a task is only its (r, trial index).
     """
-    nworkers = workers if workers is not None else worker_count()
     cells = [
         (r, t) for r in sorted(config.r_values) for t in range(config.trials)
     ]
-    if nworkers > 1 and len(cells) > 1:
+    # the pool starts all its workers up front, so it never asks for more
+    requested = workers if workers is not None else worker_count()
+    nworkers = min(requested, len(cells), os.cpu_count() or 1)
+    if nworkers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
@@ -231,7 +225,7 @@ def write_result_csv(
     dest.write(f"# distribution: {config.distribution.label or 'custom'}\n")
     dest.write(
         f"# k={config.k} trials={config.trials} receive_model={config.receive_model} "
-        f"seed={config.base_seed} symbol_bytes={config.symbol_bytes}\n"
+        f"seed={config.base_seed}\n"
     )
     dest.write(f"# config_digest={result.config_digest}\n")
     dest.write("r,mean_z,std_z,min_z,max_z,trials,asymptotic_z\n")

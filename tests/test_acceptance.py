@@ -14,14 +14,17 @@ so degree 2 wins as soon as z > 1/2.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fountain_lab
 from fountain_lab import (
     CodedSymbol,
     DegreeDistribution,
@@ -225,10 +228,13 @@ def test_criterion_08_monte_carlo_vs_asymptotics():
 
 def test_criterion_09_design_beats_raptor_shape():
     with criterion(9, "near-1 recovery: design rate < 1 < raptor-shape rate"):
+        # the child imports the same fountain_lab as this process
+        src = str(Path(fountain_lab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fountain_lab.cli", "compare",
              "--eps", "0.5", "--delta", "0.1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         out = proc.stdout
         assert proc.returncode == 0
         rates = {}

@@ -13,7 +13,7 @@ from fountain_lab.lp_bounds import (
     validate_grid_step,
     validate_target,
 )
-from fountain_lab.sim_harness import MAX_K, MAX_SYMBOL_BYTES, MAX_TRIAL_CELLS
+from fountain_lab.sim_harness import MAX_K, MAX_TRIAL_CELLS
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +125,33 @@ def test_simulate_design_gets_realized(capsys):
     assert "# realized: perturb" in out
     row = csv_rows(out)[0]
     assert float(row["mean_z"]) == pytest.approx(0.75, abs=0.05)
+
+
+# data rows of `simulate --design-z 0.75 --k 3000 --r 0.5 --r 0.877 --trials 20
+# --seed 20240601`; they depend only on the seed, the distribution, k, r and
+# the receive model
+SIMULATE_GOLDEN = {
+    "deterministic_n": [
+        "r,mean_z,std_z,min_z,max_z,trials,asymptotic_z",
+        "0.5,0.0104666667,0.0033901819,0.00533333333,0.0183333333,20,0.0115189701",
+        "0.877,0.745766667,0.0140353126,0.718,0.767333333,20,0.746016244",
+    ],
+    "poisson_n": [
+        "r,mean_z,std_z,min_z,max_z,trials,asymptotic_z",
+        "0.5,0.01035,0.00352841639,0.00533333333,0.0183333333,20,0.0115189701",
+        "0.877,0.678283333,0.213279636,0.024,0.786333333,20,0.746016244",
+    ],
+}
+
+
+@pytest.mark.parametrize("model", sorted(SIMULATE_GOLDEN))
+def test_simulate_golden_rows(capsys, model):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--design-z", "0.75", "--k", "3000", "--r", "0.5",
+        "--r", "0.877", "--trials", "20", "--seed", "20240601",
+        "--receive-model", model)
+    assert code == 0
+    assert [l for l in out.splitlines() if not l.startswith("#")] == SIMULATE_GOLDEN[model]
 
 
 def test_compare_reports_design_win(capsys):
@@ -314,17 +341,25 @@ def test_lp_degree_cap_keeps_the_paper_range():
 @pytest.mark.parametrize("argv", [
     ["--k", "1000000000", "--r", "1e-6"],
     ["--k", str(MAX_K + 1), "--r", "1e-6"],
-    ["--k", "1000", "--r", "0.5", "--symbol-bytes", "1000000000"],
-    ["--k", "1000", "--r", "0.5", "--symbol-bytes", str(MAX_SYMBOL_BYTES + 1)],
+    # every simulated symbol is one byte: the payload width is not an option
+    ["--k", "1000", "--r", "0.5", "--symbol-bytes", "4"],
+    ["--k", "1000", "--r", "0.5", "--symbol-bytes", "1"],
 ])
 def test_simulate_caps_k_and_symbol_bytes_before_output(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
-        raise AssertionError("sweep started above the k or symbol_bytes cap")
+        raise AssertionError("sweep started above the k cap or with --symbol-bytes")
 
     monkeypatch.setattr(cli, "sweep", refuse)
+    if "--symbol-bytes" in argv:
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--degree1", *argv])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --symbol-bytes" in captured.err
+        return
     code, out, err = run_cli(capsys, "simulate", "--degree1", *argv)
     assert_rejected_before_output(code, out, err)
-    assert "MAX_K" in err or "MAX_SYMBOL_BYTES" in err
+    assert "MAX_K" in err
 
 
 @pytest.mark.parametrize("argv", [

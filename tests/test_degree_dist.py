@@ -481,3 +481,6 @@ def test_text_format_rejects_garbage():
         read_distribution(io.StringIO("1 0.5\n"))
     with pytest.raises(ValueError):
         read_distribution(io.StringIO("1\t0.5\n1\t0.5\n"))
+    for bad in ("1.5\t1.0", "1\tmuch"):
+        with pytest.raises(ValueError, match=r"^line 2: expected an integer degree"):
+            read_distribution(io.StringIO(f"# comment\n{bad}\n"))

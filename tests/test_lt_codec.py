@@ -11,7 +11,6 @@ import pytest
 
 from fountain_lab import (
     CodedSymbol,
-    DecoderState,
     DegreeDistribution,
     decode,
     encode,
@@ -23,7 +22,7 @@ from fountain_lab import (
     write_symbols,
 )
 from fountain_lab import lt_codec, sim_harness
-from fountain_lab.lt_codec import CodedSymbols, sample_graph, xor_payload
+from fountain_lab.lt_codec import CodedSymbols, DecoderState, sample_graph, xor_payload
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0})
 DEG2 = DegreeDistribution.from_mapping({2: 1.0})
@@ -584,3 +583,5 @@ def test_wire_format_round_trip():
     assert back == symbols
     with pytest.raises(ValueError):
         read_symbols(io.StringIO("0;1\tzz\n"))
+    with pytest.raises(ValueError, match=r"^line 2: .*sorted and distinct"):
+        read_symbols(io.StringIO("# comment\n2,1\tff\n"))

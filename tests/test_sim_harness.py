@@ -1,9 +1,13 @@
+import concurrent.futures
 import io
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 
+from fountain_lab import sim_harness
 from fountain_lab import (
     DegreeDistribution,
     SimulationConfig,
@@ -16,7 +20,7 @@ from fountain_lab import (
     trial_seed,
     write_result_csv,
 )
-from fountain_lab.sim_harness import MAX_K, MAX_SYMBOL_BYTES, MAX_SYMBOLS
+from fountain_lab.sim_harness import MAX_K, MAX_SYMBOLS
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0}, label="degree1")
 
@@ -43,18 +47,15 @@ def test_config_rejects_non_finite_or_oversized_rate(r):
         SimulationConfig(distribution=DEG1, k=10**4, r_values=(0.5, r), trials=1)
 
 
-@pytest.mark.parametrize("k, symbol_bytes", [(10**9, 1), (MAX_K + 1, 1),
-                                               (1000, 10**9), (1000, MAX_SYMBOL_BYTES + 1)])
-def test_config_caps_k_and_symbol_bytes(k, symbol_bytes):
-    with pytest.raises(ValueError):
-        SimulationConfig(distribution=DEG1, k=k, r_values=(1e-6,), trials=1,
-                         symbol_bytes=symbol_bytes)
+@pytest.mark.parametrize("k", [10**9, MAX_K + 1])
+def test_config_caps_k(k):
+    with pytest.raises(ValueError, match="MAX_K"):
+        SimulationConfig(distribution=DEG1, k=k, r_values=(1e-6,), trials=1)
 
 
-def test_config_accepts_k_and_symbol_bytes_at_caps():
-    config = SimulationConfig(distribution=DEG1, k=MAX_K, r_values=(1e-6,), trials=1,
-                              symbol_bytes=MAX_SYMBOL_BYTES)
-    assert (config.k, config.symbol_bytes) == (MAX_K, MAX_SYMBOL_BYTES)
+def test_config_accepts_k_at_cap():
+    config = SimulationConfig(distribution=DEG1, k=MAX_K, r_values=(1e-6,), trials=1)
+    assert config.k == MAX_K
 
 
 def test_config_accepts_rate_at_symbol_cap():
@@ -108,23 +109,21 @@ def test_trial_schedule_independence():
     assert result.rows[0].mean_z == pytest.approx(float(np.mean(ordered)), abs=1e-15)
 
 
-def test_worker_pool_matches_serial():
+def test_worker_pool_matches_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of two, anywhere
     config = SimulationConfig(distribution=DEG1, k=200, r_values=(0.4, 0.9),
                               trials=6, base_seed=3)
     assert sweep(config, workers=2) == sweep(config, workers=1)
 
 
-def test_sweep_tasks_carry_no_config(monkeypatch):
-    # the pool gets the config once per worker; each task pickles small
-    import concurrent.futures
-    import pickle
-
-    from fountain_lab import sim_harness
-
-    sent = []
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Swap ProcessPoolExecutor for one that runs tasks here; return what it got."""
+    calls = {"max_workers": [], "task_bytes": []}
 
     class InProcessPool:
         def __init__(self, max_workers, initializer, initargs):
+            calls["max_workers"].append(max_workers)
             self.start = lambda: initializer(*initargs)
 
         def __enter__(self):
@@ -136,16 +135,37 @@ def test_sweep_tasks_carry_no_config(monkeypatch):
         def map(self, fn, tasks, chunksize):
             self.start()
             tasks = list(tasks)
-            sent.extend(len(pickle.dumps((fn, task))) for task in tasks)
+            calls["task_bytes"].extend(len(pickle.dumps((fn, task))) for task in tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(sim_harness, "_worker_config", None)
+    return calls
+
+
+def test_sweep_tasks_carry_no_config(monkeypatch, pool_calls):
+    # the pool gets the config once per worker; each task pickles small
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     config = SimulationConfig(distribution=robust_soliton(10_000, 0.1, 0.5), k=10_000,
                               r_values=(0.01, 0.02), trials=2, base_seed=3)
     assert len(pickle.dumps(config)) > 100_000
     assert sweep(config, workers=2) == sweep(config, workers=1)
+    sent = pool_calls["task_bytes"]
     assert len(sent) == 4 and max(sent) < 1024
+
+
+def test_sweep_pool_is_bounded_by_cells_and_cpus(monkeypatch, pool_calls):
+    # FOUNTAIN_LAB_THREADS asks for far more workers than the sweep has cells
+    monkeypatch.setenv("FOUNTAIN_LAB_THREADS", str(10**6))
+    config = SimulationConfig(distribution=DEG1, k=200, r_values=(0.4, 0.9),
+                              trials=1, base_seed=3)
+    serial = sweep(config, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert sweep(config) == serial
+    assert pool_calls["max_workers"] == [2]  # one worker per cell
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert sweep(config) == serial
+    assert pool_calls["max_workers"] == [2]  # one CPU: no pool at all
 
 
 def test_worker_count_env(monkeypatch):
