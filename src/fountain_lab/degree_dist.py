@@ -36,6 +36,16 @@ _TRUNC_LOG = 46.0
 _CHUNK_ELEMENTS = 1 << 16
 
 
+def _check_degree(d: int) -> None:
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"degrees must be integers >= 1, got {d!r}")
+
+
+def _check_mass(m: float) -> None:
+    if not math.isfinite(m) or m < 0.0:
+        raise ValueError(f"masses must be finite and >= 0, got {m!r}")
+
+
 class UnknownRegionError(ValueError):
     """No exactly optimal distribution is known for this recovery target."""
 
@@ -57,13 +67,11 @@ class DegreeDistribution:
         degrees = [d for d, _ in self.entries]
         masses = [m for _, m in self.entries]
         for d in degrees:
-            if not isinstance(d, int) or d < 1:
-                raise ValueError(f"degrees must be integers >= 1, got {d!r}")
+            _check_degree(d)
         if any(b <= a for a, b in zip(degrees, degrees[1:])):
             raise ValueError("degrees must be strictly ascending")
         for m in masses:
-            if not math.isfinite(m) or m < 0.0:
-                raise ValueError(f"masses must be finite and >= 0, got {m!r}")
+            _check_mass(m)
         total = math.fsum(masses)
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"masses sum to {total!r}, not 1 within {MASS_SUM_TOL}")
@@ -449,6 +457,7 @@ def read_distribution(src: Union[str, Path, IO[str]], label: str = "") -> Degree
         text = path.read_text(encoding="utf-8")
         label = label or path.stem
     masses: dict[int, float] = {}
+    linenos: list[int] = []  # of each record, in file order like masses
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -465,4 +474,14 @@ def read_distribution(src: Union[str, Path, IO[str]], label: str = "") -> Degree
         if degree in masses:
             raise ValueError(f"line {lineno}: duplicate degree {degree}")
         masses[degree] = mass
-    return DegreeDistribution.from_mapping(masses, label=label)
+        linenos.append(lineno)
+    try:
+        return DegreeDistribution.from_mapping(masses, label=label)
+    except ValueError as exc:
+        for lineno, (degree, mass) in zip(linenos, masses.items()):
+            try:
+                _check_degree(degree)
+                _check_mass(mass)
+            except ValueError as bad:
+                raise ValueError(f"line {lineno}: {bad}") from exc
+        raise

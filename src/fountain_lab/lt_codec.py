@@ -204,7 +204,8 @@ def _rejected(draws: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _fisher_yates(
-    base: np.ndarray, step: np.ndarray, pick: np.ndarray, width: int
+    base: np.ndarray, step: np.ndarray, pick: np.ndarray, row_start: np.ndarray,
+    k: int, width: int,
 ) -> np.ndarray:
     """Value each partial Fisher-Yates step takes, for all rows at once.
 
@@ -212,22 +213,27 @@ def _fisher_yates(
     Before step t, position p holds p itself, unless an earlier step h of
     the same row picked p; then it holds what position h held before step h.
     Each key packs (row, position, step) as (row*k + position)*width + step,
-    where base = row*k; one searchsorted finds, for every open chain at once,
-    the latest earlier step that picked the position asked about.
+    where base = row*k, and the keys are distinct. So the latest earlier step
+    that picked the same position is an edge's predecessor in the sorted
+    keys: one comparison of neighbours finds them all, and the edge is read
+    back from its key as row_start[row] + step. Only the few chains that go
+    on (position h asked about before step h) need a searchsorted each step.
     """
     keys = (base + pick) * width + step
     order = np.sort(keys)
     value = pick.copy()
-    live = np.arange(pick.size)
-    query = keys
+    slot = order // width  # row*k + position
+    pair = np.flatnonzero(slot[1:] == slot[:-1])  # keys pair and pair+1 share a slot
+    live = row_start[slot[pair] // k] + order[pair + 1] % width
+    h = order[pair] % width
     while live.size:
+        value[live] = h
+        query = (base[live] + h) * width + h
         i = np.searchsorted(order, query) - 1
         prev = order[i]
         hit = (i >= 0) & (prev // width == query // width)
         live = live[hit]
         h = prev[hit] % width
-        value[live] = h
-        query = (base[live] + h) * width + h
     return value
 
 
@@ -263,7 +269,7 @@ def _sample_block(
     pick = step + (draws % m).astype(np.int64)
 
     base = row * k
-    chosen = base + _fisher_yates(base, step, pick, width)
+    chosen = base + _fisher_yates(base, step, pick, row_start, k, width)
     chosen.sort()
     neighbors = chosen - base
     for r in set(row[_rejected(draws, m)].tolist()):
@@ -451,10 +457,12 @@ def decode(symbols: Sequence[CodedSymbol], k: int) -> tuple[list[bytes | None], 
     """Peel the received symbols; returns (per-input values or None, count)."""
     state = DecoderState(symbols, k)
     state.run()
-    size, blob = state.payload_size, state.values.tobytes()
-    values = [blob[v * size : (v + 1) * size] if hit else None
-              for v, hit in enumerate(state.decoded.tolist())]
-    return values, state.decoded_count
+    if state.payload_size:
+        values = state.values.view(f"V{state.payload_size}").ravel().astype(object)
+    else:  # a zero-width row has no V0 view
+        values = np.full(k, b"", dtype=object)
+    values[~state.decoded] = None
+    return values.tolist(), state.decoded_count
 
 
 # --- fixture text format: one symbol per line, "idx1,idx2,...<TAB>hex" ---

@@ -111,7 +111,7 @@ def run_trial(config: SimulationConfig, r: float, trial_index: int) -> float:
         n = int(round(r * config.k))
     # one byte per input: the decoded fraction does not depend on the width
     raw = rng.integers(0, 256, size=(config.k, 1), dtype=np.uint8)
-    inputs = [row.tobytes() for row in raw]
+    inputs = raw.view("V1").ravel().tolist()  # k one-byte bytes objects
     if n == 0:
         return 0.0
     symbols = encode(inputs, config.distribution, n, seed)

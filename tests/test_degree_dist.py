@@ -484,3 +484,21 @@ def test_text_format_rejects_garbage():
     for bad in ("1.5\t1.0", "1\tmuch"):
         with pytest.raises(ValueError, match=r"^line 2: expected an integer degree"):
             read_distribution(io.StringIO(f"# comment\n{bad}\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1\t0.5\n# comment\n0\t0.5\n", "line 3: degrees must be integers >= 1, got 0"),
+    ("2\t1.5\n1\t-0.5\n", "line 2: masses must be finite and >= 0, got -0.5"),
+    ("\n1\tnan\n", "line 2: masses must be finite and >= 0, got nan"),
+    # the first bad record in the file, not in degree order
+    ("3\tinf\n-1\t0.5\n", "line 1: masses must be finite and >= 0, got inf"),
+])
+def test_text_format_names_the_line_of_a_bad_entry(text, message):
+    with pytest.raises(ValueError) as info:
+        read_distribution(io.StringIO(text))
+    assert str(info.value) == message
+
+
+def test_text_format_mass_sum_error_names_no_line():
+    with pytest.raises(ValueError, match=r"^masses sum to 0\.9,"):
+        read_distribution(io.StringIO("1\t0.5\n2\t0.4\n"))

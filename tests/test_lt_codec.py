@@ -217,8 +217,12 @@ def test_encode_golden_digest(case):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
-def scalar_graph(dist, k, n, seed):
-    """Each symbol's sorted inputs, drawn one SplitMix64 output at a time."""
+def scalar_graph(dist, k, n, seed, chains=None):
+    """Each symbol's sorted inputs, drawn one SplitMix64 output at a time.
+
+    If chains is a list, it gets each row's longest swap chain: the number of
+    earlier steps followed back to find what a picked position holds.
+    """
     cdf, acc = [], 0.0
     for _, m in dist.entries:
         acc += m
@@ -229,12 +233,16 @@ def scalar_graph(dist, k, n, seed):
     for i in range(n):
         rng = lt_codec.SplitMix64(lt_codec.symbol_stream_seed(seed, i))
         d = degrees[bisect.bisect_left(cdf, rng.random())]
-        overlay, chosen = {}, []
+        overlay, chosen, depth, longest = {}, [], {}, 0
         for j in range(d):
             pick = j + rng.randbelow(k - j)
             chosen.append(overlay.get(pick, pick))
+            longest = max(longest, depth.get(pick, 0))
             overlay[pick] = overlay.get(j, j)
+            depth[pick] = 1 + depth.get(j, 0)
         rows.append(sorted(chosen))
+        if chains is not None:
+            chains.append(longest)
     return rows
 
 
@@ -273,6 +281,19 @@ def test_sample_graph_matches_scalar_streams(monkeypatch, block):
         seed = int(rng.integers(-2**62, 2**62)) * int(rng.integers(1, 5))
         got = csr_rows(*sample_graph(dist, k, n, seed))
         assert got == scalar_graph(dist, k, n, seed), (dist.entries, k, n, seed)
+
+
+@pytest.mark.parametrize("block", [1024, 3])
+def test_sample_graph_long_swap_chains(monkeypatch, block):
+    # At k = 10**4 a row's swaps can chain: a picked position was picked
+    # before, by a step whose own position was picked before it, and so on.
+    monkeypatch.setattr(lt_codec, "_BLOCK", block)
+    dist, k, n = robust_soliton(10_000, 0.1, 0.5), 10_000, 2048
+    chains = []
+    for seed in range(1, 6):
+        got = csr_rows(*sample_graph(dist, k, n, seed))
+        assert got == scalar_graph(dist, k, n, seed, chains), seed
+    assert max(chains) >= 3
 
 
 def test_sample_graph_validation():
@@ -464,6 +485,28 @@ def test_decode_matches_oracle():
         for v, value in truth.items():
             assert values[v] == value.to_bytes(1, "big")
             assert values[v] == inputs[v]
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 3, 8])
+def test_decode_values_are_input_bytes(nbytes):
+    # decode reads its values through a void view of the k x B value matrix;
+    # numpy >= 1.14 turns unstructured void items into bytes, untrimmed (the
+    # declared floor is 1.22). A zero-width row has no void view of its own.
+    rng = np.random.default_rng(60 + nbytes)
+    k = 40
+    inputs = random_inputs(rng, k, nbytes)
+    if nbytes:  # trailing zero bytes stay
+        inputs[::2] = [v[:-1] + b"\x00" for v in inputs[::2]]
+    dist = DegreeDistribution.from_mapping({1: 0.5, 2: 0.5})
+    symbols = encode(inputs, dist, 30, rng_seed=nbytes)
+    state = DecoderState(symbols, k)
+    state.run()
+    values, count = decode(symbols, k)
+    assert 0 < count < k
+    assert values == [state.values[v].tobytes() if hit else None
+                      for v, hit in enumerate(state.decoded.tolist())]
+    assert all(type(v) is bytes and v == inputs[i] for i, v in enumerate(values) if v is not None)
+    assert decode(encode(inputs, dist, 0, rng_seed=1), k) == ([None] * k, 0)
 
 
 def test_decode_order_independent():

@@ -11,6 +11,7 @@ from fountain_lab import sim_harness
 from fountain_lab import (
     DegreeDistribution,
     SimulationConfig,
+    encode,
     ideal_soliton,
     perturb,
     robust_soliton,
@@ -67,6 +68,25 @@ def test_config_accepts_rate_at_symbol_cap():
 def test_zero_rate_trial():
     config = SimulationConfig(distribution=DEG1, k=1000, r_values=(0.0,), trials=1)
     assert run_trial(config, 0.0, 0) == 0.0
+
+
+def test_run_trial_encodes_one_byte_rows(monkeypatch):
+    seen = []
+
+    def spy(inputs, dist, n, seed):
+        seen.append(inputs)
+        return encode(inputs, dist, n, seed)
+
+    monkeypatch.setattr(sim_harness, "encode", spy)
+    k, r, base_seed = 500, 0.5, 3
+    config = SimulationConfig(distribution=DEG1, k=k, r_values=(r,), trials=1,
+                              receive_model="poisson_n", base_seed=base_seed)
+    run_trial(config, r, 0)
+    rng = np.random.Generator(np.random.PCG64(trial_seed(base_seed, r, 0)))
+    rng.poisson(r * k)
+    raw = rng.integers(0, 256, size=(k, 1), dtype=np.uint8)
+    assert len(seen) == 1 and seen[0] == [row.tobytes() for row in raw]
+    assert all(type(b) is bytes for b in seen[0])
 
 
 def test_singleton_trials_match_occupancy():
