@@ -99,13 +99,17 @@ def _resolve_dist(args: argparse.Namespace) -> DegreeDistribution:
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
+def _output(path: str | Path | None):
     """stdout for None or '-', else the file at path, closed on exit."""
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as out:
-            yield out
+        return
+    try:
+        out = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from exc
+    with out:
+        yield out
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -140,8 +144,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     zs = args.z
-    if not zs:
-        raise ValueError("no z values given")
     for z in zs:
         validate_target(z, args.grid_step)
     curve = outer_bound_curve(zs, args.grid_step)
@@ -213,13 +215,16 @@ def cmd_curves(args: argparse.Namespace) -> int:
     step = args.grid_step
     validate_grid_step(step)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory: {exc}") from exc
 
     # exact region: known-optimal rate with the LP outer bound alongside
     zs = [round(0.02 * j, 2) for j in range(1, 34)]
     zs.append(2.0 / 3.0)
     top = out_dir / "exact_region.csv"
-    with top.open("w", encoding="utf-8") as out:
+    with _output(top) as out:
         out.write(f"# fountain-lab {__version__} curves grid_step={step:g}\n")
         out.write("z,r_exact,r_outer\n")
         for z in zs:
@@ -230,7 +235,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     # region above 2/3: outer bound against the truncated-soliton designs
     bottom = out_dir / "design_region.csv"
     zs2 = [round(0.67 + 0.01 * j, 2) for j in range(0, 29)]
-    with bottom.open("w", encoding="utf-8") as out:
+    with _output(bottom) as out:
         out.write(f"# fountain-lab {__version__} curves grid_step={step:g}\n")
         out.write("z,r_outer,r_inner,m\n")
         for z in zs2:

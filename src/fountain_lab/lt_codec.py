@@ -13,11 +13,11 @@ which is the same for every release order (Di, Proietti, Telatar, Richardson
 inputs, each recovered value is that input.
 
 Coded symbols travel as `CodedSymbols`: one read-only CSR graph (offsets,
-neighbors) and one n x B payload matrix. `encode` draws the graph block by
-block and XORs each block's payloads into the matrix as the block is drawn;
-`DecoderState` peels those arrays as they are, and packs any other sequence
-of `CodedSymbol` into them first. A `CodedSymbol` is built only when a
-caller indexes or iterates the sequence.
+neighbors) and one n x B payload matrix. `encode` draws the graph with
+`sample_graph`, then XORs the payloads into the matrix one block of rows at
+a time; `DecoderState` peels those arrays as they are, and packs any other
+sequence of `CodedSymbol` into them first. A `CodedSymbol` is built only
+when a caller indexes or iterates the sequence.
 
 Randomness is a SplitMix64 stream per output symbol: symbol i draws from
 SplitMix64 seeded with seed_i = mix64(seed + (i+1) * gamma), gamma =
@@ -278,10 +278,20 @@ def _sample_block(
     return deg, neighbors
 
 
-def _graph_blocks(
+def sample_graph(
     dist: DegreeDistribution, k: int, n: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Checks the sizes at once; yields (degrees, neighbors) block by block."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The LT graph of n coded symbols over k inputs, in CSR form.
+
+    Returns (offsets, neighbors), both int64: symbol i's inputs are
+    neighbors[offsets[i]:offsets[i+1]], sorted. Draw t of symbol i is
+    mix64(symbol_stream_seed(seed, i) + t*gamma), the t-th output of its
+    SplitMix64 stream: t = 1 picks the degree by inverse CDF, t = j+2 the
+    j-th partial Fisher-Yates index, with rejection as in randbelow. All
+    symbols of a block draw at once; the rare row with a rejected draw is
+    replayed one draw at a time. `encode` draws its graph here, then XORs
+    the payloads one block of rows at a time.
+    """
     if k < 1:
         raise ValueError("need at least one input packet")
     if n < 0:
@@ -294,27 +304,10 @@ def _graph_blocks(
     width = dist.max_degree
     # the packed (row, position, step) keys must fit in an int64
     rows = max(1, min(_BLOCK, _KEY_LIMIT // (k * width)))
-    return (
-        _sample_block(cdf, dist.degree_array, k, width, seed, a, min(n, a + rows))
-        for a in range(0, n, rows)
-    )
-
-
-def _csr(blocks, n: int, visit=None) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, neighbors) of n symbols from their (degrees, neighbors) blocks.
-
-    visit(row, bounds, block), if given, sees each block as it is drawn:
-    row is the block's first symbol and bounds its own row offsets.
-    """
     degrees = [np.empty(0, dtype=np.int64)]
     neighbors = [np.empty(0, dtype=np.int64)]
-    row = 0
-    for deg, nb in blocks:
-        if visit is not None:
-            bounds = np.zeros(deg.size + 1, dtype=np.int64)
-            np.add.accumulate(deg, out=bounds[1:])
-            visit(row, bounds, nb)
-        row += deg.size
+    for a in range(0, n, rows):
+        deg, nb = _sample_block(cdf, dist.degree_array, k, width, seed, a, min(n, a + rows))
         degrees.append(deg)
         neighbors.append(nb)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -322,26 +315,8 @@ def _csr(blocks, n: int, visit=None) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.concatenate(neighbors)
 
 
-def sample_graph(
-    dist: DegreeDistribution, k: int, n: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The LT graph of n coded symbols over k inputs, in CSR form.
-
-    Returns (offsets, neighbors), both int64: symbol i's inputs are
-    neighbors[offsets[i]:offsets[i+1]], sorted. Draw t of symbol i is
-    mix64(symbol_stream_seed(seed, i) + t*gamma), the t-th output of its
-    SplitMix64 stream: t = 1 picks the degree by inverse CDF, t = j+2 the
-    j-th partial Fisher-Yates index, with rejection as in randbelow. All
-    symbols of a block draw at once; the rare row with a rejected draw is
-    replayed one draw at a time. `encode` draws the same blocks and XORs
-    each block's payloads while the block is drawn, so the edge-length
-    gather of input payloads never spans more than one block.
-    """
-    return _csr(_graph_blocks(dist, k, n, seed), n)
-
-
 def _check_graph(offsets: np.ndarray, neighbors: np.ndarray) -> None:
-    """CodedSymbol's neighbor checks, at once over a CSR graph or block."""
+    """CodedSymbol's neighbor checks, at once over a whole CSR graph."""
     if np.any(np.diff(offsets) < 1):
         raise ValueError("a coded symbol needs at least one neighbor")
     gaps = np.diff(neighbors)
@@ -365,16 +340,15 @@ def encode(
     size = len(inputs[0])
     if len(set(map(len, inputs))) > 1:
         raise ValueError("all input packets must have the same length")
-    blocks = _graph_blocks(dist, k, n, rng_seed)
+    offsets, neighbors = sample_graph(dist, k, n, rng_seed)
+    _check_graph(offsets, neighbors)
     data = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(k, size)
     payload = np.empty((n, size), dtype=np.uint8)
-
-    def xor_block(row: int, bounds: np.ndarray, block: np.ndarray) -> None:
-        _check_graph(bounds, block)
-        np.bitwise_xor.reduceat(data[block], bounds[:-1], axis=0,
-                                out=payload[row : row + bounds.size - 1])
-
-    offsets, neighbors = _csr(blocks, n, xor_block)
+    # one block of rows at a time, so the gather data[...] stays small
+    for a in range(0, n, _BLOCK):
+        bounds = offsets[a : a + _BLOCK + 1]
+        np.bitwise_xor.reduceat(data[neighbors[bounds[0] : bounds[-1]]], bounds[:-1] - bounds[0],
+                                axis=0, out=payload[a : a + _BLOCK])
     return CodedSymbols(offsets, neighbors, payload)
 
 

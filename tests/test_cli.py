@@ -35,6 +35,13 @@ def test_analyze_degree1(capsys):
     assert float(rows[0]["s"]) == pytest.approx(0.5, abs=1e-4)
 
 
+def test_analyze_degree2(capsys):
+    # s solves 2t + log(1 - t) = 0 at r = 1
+    code, out, _ = run_cli(capsys, "analyze", "--degree2", "--r", "1")
+    assert code == 0
+    assert csv_rows(out)[0]["s"] == "0.79681213"
+
+
 def test_analyze_heavy_tail_file(capsys, tmp_path):
     path = tmp_path / "soliton.tsv"
     write_distribution(limiting_soliton(10_000), path)
@@ -397,6 +404,36 @@ def test_simulate_rejects_bad_realize_delta_before_output(capsys, monkeypatch, d
                              "--realize-delta", delta)
     assert_rejected_before_output(code, out, err)
     assert "realize-delta" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--degree1"], "no r values given"),
+    (["analyze", "--degree1", "--r-range", "0", "1", "0"], "r-range step must be positive"),
+    (["design", "--z", "1.5"], "z=1.5 outside (0, 1)"),
+    (["analyze", "--dist-file", "MISSING", "--r", "1"], "cannot read distribution file: "),
+])
+def test_usage_errors_name_the_problem(capsys, tmp_path, argv, message):
+    missing = str(tmp_path / "absent.tsv")
+    code, out, err = run_cli(capsys, *[missing if a == "MISSING" else a for a in argv])
+    assert_rejected_before_output(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--degree1", "--r", "1", "-o"],
+    ["bound", "--z", "0.6", "--grid-step", "0.01", "-o"],
+    ["design", "--z", "0.75", "-o"],
+    ["simulate", "--degree1", "--k", "100", "--r", "0.5", "--trials", "2", "-o"],
+    ["curves", "--grid-step", "0.01", "--out-dir"],
+])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    # a path below a regular file can be neither opened nor created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    code, out, err = run_cli(capsys, *argv, target)
+    assert_rejected_before_output(code, out, err)
+    assert target in err
 
 
 def test_analyze_rejects_non_finite_robust_c(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -102,6 +103,21 @@ def test_robust_soliton_degenerate():
         robust_soliton(4, 2.0, 0.5)  # k/R < 2
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (DegreeDistribution, (((2, 0.5), (1, 0.5)),), "degrees must be strictly ascending"),
+    (limiting_soliton, (1,), "needs integer max_degree >= 2, got 1"),
+    (robust_soliton, (1, 0.1, 0.5), "needs integer k >= 2, got 1"),
+    (robust_soliton, (100, 0.1, 1.5), r"fail_prob must lie in \(0, 1\)"),
+    (robust_soliton, (100, 1e-4, 0.5), "spike degree 18874 outside support for k=100"),
+    (raptor_omega, (0.0,), "eps must be positive and finite, got 0.0"),
+    (optimal_distribution, (1.0,), r"z must lie in \[0, 1\), got 1.0"),
+    (max_useful_degree, (1.0,), r"z must lie in \(0, 1\), got 1.0"),
+])
+def test_constructors_reject_out_of_range_arguments(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -0.1])
 def test_robust_soliton_rejects_bad_c(c):
     with pytest.raises(ValueError, match="c must be positive and finite"):
@@ -143,6 +159,20 @@ def test_truncated_soliton_invariants(z):
 def test_truncated_soliton_range(z):
     with pytest.raises(ValueError):
         truncated_soliton(z)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"z": 0.5}, r"z must lie in \(2/3, 1\)"),
+    ({"m": 5}, "m=5 inconsistent with z=0.75"),
+    ({"a": 0.4}, "scale a too small"),
+    ({"distribution": ideal_soliton(3)}, r"support must lie within \{2..m\}"),
+    ({"distribution": limiting_soliton(4)}, r"support must lie within \{2..m\}"),
+])
+def test_truncated_soliton_design_checks_its_fields(change, message):
+    design = truncated_soliton(0.75)
+    assert design.m == 3
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(design, **change)
 
 
 @pytest.mark.parametrize("z", [0.72, 0.75, 0.80])

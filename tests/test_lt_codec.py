@@ -76,6 +76,10 @@ def test_xor_payload_cancels():
     inputs = [b"\x01", b"\x00", b"\x01"]
     assert xor_payload(inputs, (0, 2)) == b"\x00"
     assert xor_payload(inputs, (0, 1)) == b"\x01"
+    with pytest.raises(ValueError, match="same length"):
+        xor_payload([b"\x01", b"\x00\x00"], (0, 1))
+    with pytest.raises(ValueError, match="empty neighbor set"):
+        xor_payload(inputs, ())
 
 
 def test_encode_validation():
@@ -108,7 +112,7 @@ def test_coded_symbols_sequence():
     plain = read_symbols(io.StringIO(buf.getvalue()))
     assert list(symbols) == plain
     assert symbols == plain and plain == symbols and symbols == tuple(plain)
-    assert symbols != plain[:-1] and symbols != plain[::-1]
+    assert symbols != plain[:-1] and symbols != plain[::-1] and symbols != 5
     for i in (0, 7, 24, -1, -25):
         assert symbols[i] == plain[i]
         assert symbols[i].payload == xor_payload(inputs, symbols[i].neighbors)
@@ -129,6 +133,26 @@ def test_encode_no_symbols():
     assert symbols.offsets.tolist() == [0] and symbols.neighbors.size == 0
     assert symbols.payload.shape == (0, 2)
     assert decode(symbols, 3) == ([None] * 3, 0)
+
+
+@pytest.mark.parametrize("block", [lt_codec._BLOCK, 3])
+@pytest.mark.parametrize("n", [0, 2500])
+def test_encode_graph_is_sample_graph(monkeypatch, block, n):
+    # encode draws with sample_graph, then XORs one block of rows at a time;
+    # 2500 is a multiple of neither block, so the last block is short
+    monkeypatch.setattr(lt_codec, "_BLOCK", block)
+    dist, k, seed, nbytes = robust_soliton(300, 0.1, 0.5), 300, 41, 5
+    inputs = golden_inputs(k, nbytes, 2)
+    symbols = encode(inputs, dist, n, seed)
+    offsets, neighbors = sample_graph(dist, k, n, seed)
+    assert np.array_equal(symbols.offsets, offsets)
+    assert np.array_equal(symbols.neighbors, neighbors)
+    data = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(k, nbytes)
+    want = np.zeros((n, nbytes), dtype=np.uint8)
+    for i in range(n):
+        for j in neighbors[offsets[i] : offsets[i + 1]]:
+            want[i] ^= data[j]
+    assert np.array_equal(symbols.payload, want)
 
 
 def test_encode_peak_memory_stays_below_a_whole_graph_gather():
@@ -314,6 +338,8 @@ def test_rejection_threshold():
         draws = np.array(list(cases), dtype=np.uint64)
         got = lt_codec._rejected(draws, np.full(draws.size, m, dtype=np.uint64))
         assert got.tolist() == list(cases.values()), m
+    with pytest.raises(ValueError, match="n must be positive"):
+        lt_codec.SplitMix64(1).randbelow(0)
 
 
 def test_rejected_draw_replays_the_row(monkeypatch):
@@ -368,6 +394,8 @@ def test_coded_symbol_validation():
         CodedSymbol((2, 1), b"\x00")
     with pytest.raises(ValueError):
         CodedSymbol((1, 1), b"\x00")
+    with pytest.raises(ValueError, match="nonnegative"):
+        CodedSymbol((-1, 2), b"\x00")
 
 
 # --- decoding ---
