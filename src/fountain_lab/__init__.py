@@ -40,8 +40,6 @@ from .lt_codec import (
     CodedSymbol,
     decode,
     encode,
-    read_symbols,
-    write_symbols,
 )
 from .sim_harness import (
     SimulationConfig,
@@ -83,8 +81,6 @@ __all__ = [
     "CodedSymbol",
     "decode",
     "encode",
-    "read_symbols",
-    "write_symbols",
     "SimulationConfig",
     "SimulationResult",
     "SweepRow",

@@ -13,11 +13,11 @@ which is the same for every release order (Di, Proietti, Telatar, Richardson
 inputs, each recovered value is that input.
 
 Coded symbols travel as `CodedSymbols`: one read-only CSR graph (offsets,
-neighbors) and one n x B payload matrix. `encode` draws the graph with
-`sample_graph`, then XORs the payloads into the matrix one block of rows at
-a time; `DecoderState` peels those arrays as they are, and packs any other
-sequence of `CodedSymbol` into them first. A `CodedSymbol` is built only
-when a caller indexes or iterates the sequence.
+neighbors), whose neighbour rules it checks, and one n x B payload matrix.
+`encode` draws the graph with `sample_graph`, then XORs the payloads into the
+matrix one block of rows at a time; `DecoderState` peels those arrays as they
+are, and packs any other sequence of `CodedSymbol` into them first. A
+`CodedSymbol` is built only when a caller iterates the symbols.
 
 Randomness is a SplitMix64 stream per output symbol: symbol i draws from
 SplitMix64 seeded with seed_i = mix64(seed + (i+1) * gamma), gamma =
@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -85,37 +84,30 @@ def symbol_stream_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class CodedSymbol:
-    """One output symbol: sorted input indices plus the XOR of their payloads."""
+    """One output symbol: sorted input indices plus the XOR of their payloads.
+
+    A plain record: `CodedSymbols` checks the neighbour rules when it packs
+    the symbol, so a bad one raises in `decode`.
+    """
 
     neighbors: tuple[int, ...]
     payload: bytes
 
-    def __post_init__(self) -> None:
-        if not self.neighbors:
-            raise ValueError("a coded symbol needs at least one neighbor")
-        if any(b <= a for a, b in zip(self.neighbors, self.neighbors[1:])):
-            raise ValueError("neighbors must be sorted and distinct")
-        if self.neighbors[0] < 0:
-            raise ValueError("neighbor indices must be nonnegative")
 
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
-
-class CodedSymbols(Sequence):
+class CodedSymbols:
     """n coded symbols as one read-only CSR graph and payload matrix.
 
     Symbol i's sorted inputs are neighbors[offsets[i]:offsets[i+1]] and its
     payload is payload[i]: offsets holds n+1 int64, neighbors int64, payload
-    n rows of uint8. Indexing and iteration build each CodedSymbol only when
-    it is asked for; `encode` and `DecoderState` use the arrays directly.
-    The rows must be checked (`_check_graph`) before they are wrapped.
+    n rows of uint8. The constructor checks the rows (`_check_graph`).
+    Iteration builds each CodedSymbol only when it is asked for; `encode`
+    and `DecoderState` use the arrays directly.
     """
 
     __slots__ = ("offsets", "neighbors", "payload")
 
     def __init__(self, offsets: np.ndarray, neighbors: np.ndarray, payload: np.ndarray) -> None:
+        _check_graph(offsets, neighbors)
         for array in (offsets, neighbors, payload):
             array.flags.writeable = False
         self.offsets, self.neighbors, self.payload = offsets, neighbors, payload
@@ -137,23 +129,11 @@ class CodedSymbols(Sequence):
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]  # negative indices count from the end
-        first, end = int(self.offsets[i]), int(self.offsets[i + 1])
-        return CodedSymbol(tuple(self.neighbors[first:end].tolist()), self.payload[i].tobytes())
-
     def __iter__(self) -> Iterator[CodedSymbol]:
         nbrs, bounds = self.neighbors.tolist(), self.offsets.tolist()
         size, blob = self.payload.shape[1], self.payload.tobytes()
         for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
             yield CodedSymbol(tuple(nbrs[first:end]), blob[i * size : (i + 1) * size])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
 
 
 def xor_payload(inputs: Sequence[bytes], neighbors: Iterable[int]) -> bytes:
@@ -316,7 +296,7 @@ def sample_graph(
 
 
 def _check_graph(offsets: np.ndarray, neighbors: np.ndarray) -> None:
-    """CodedSymbol's neighbor checks, at once over a whole CSR graph."""
+    """The neighbour rules of coded symbols, at once over a whole CSR graph."""
     if np.any(np.diff(offsets) < 1):
         raise ValueError("a coded symbol needs at least one neighbor")
     gaps = np.diff(neighbors)
@@ -341,7 +321,6 @@ def encode(
     if len(set(map(len, inputs))) > 1:
         raise ValueError("all input packets must have the same length")
     offsets, neighbors = sample_graph(dist, k, n, rng_seed)
-    _check_graph(offsets, neighbors)
     data = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(k, size)
     payload = np.empty((n, size), dtype=np.uint8)
     # one block of rows at a time, so the gather data[...] stays small
@@ -402,7 +381,7 @@ class DecoderState:
     earlier rounds decoded; any release order leaves the same stopping set.
     """
 
-    def __init__(self, symbols: Sequence[CodedSymbol], k: int) -> None:
+    def __init__(self, symbols: CodedSymbols | Sequence[CodedSymbol], k: int) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
         if not isinstance(symbols, CodedSymbols):
@@ -427,7 +406,9 @@ class DecoderState:
             self.values[inputs] = self.payload[syms] ^ others
 
 
-def decode(symbols: Sequence[CodedSymbol], k: int) -> tuple[list[bytes | None], int]:
+def decode(
+    symbols: CodedSymbols | Sequence[CodedSymbol], k: int
+) -> tuple[list[bytes | None], int]:
     """Peel the received symbols; returns (per-input values or None, count)."""
     state = DecoderState(symbols, k)
     state.run()
@@ -437,29 +418,3 @@ def decode(symbols: Sequence[CodedSymbol], k: int) -> tuple[list[bytes | None], 
         values = np.full(k, b"", dtype=object)
     values[~state.decoded] = None
     return values.tolist(), state.decoded_count
-
-
-# --- fixture text format: one symbol per line, "idx1,idx2,...<TAB>hex" ---
-
-
-def write_symbols(symbols: Iterable[CodedSymbol], dest: IO[str]) -> None:
-    for sym in symbols:
-        dest.write(",".join(str(v) for v in sym.neighbors))
-        dest.write("\t")
-        dest.write(sym.payload.hex())
-        dest.write("\n")
-
-
-def read_symbols(src: IO[str]) -> list[CodedSymbol]:
-    out = []
-    for lineno, raw in enumerate(src.read().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            idx_part, hex_part = line.split("\t")
-            neighbors = tuple(int(v) for v in idx_part.split(","))
-            out.append(CodedSymbol(neighbors, bytes.fromhex(hex_part)))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad symbol record {raw!r}: {exc}") from exc
-    return out

@@ -55,6 +55,8 @@ class SimulationConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials * len(self.r_values) > MAX_TRIAL_CELLS:

@@ -411,6 +411,9 @@ def test_simulate_rejects_bad_realize_delta_before_output(capsys, monkeypatch, d
     (["analyze", "--degree1", "--r-range", "0", "1", "0"], "r-range step must be positive"),
     (["design", "--z", "1.5"], "z=1.5 outside (0, 1)"),
     (["analyze", "--dist-file", "MISSING", "--r", "1"], "cannot read distribution file: "),
+    (["analyze", "--robust", "100", "1e-310", "0.5", "--r", "1"], "degenerate ripple size"),
+    (["simulate", "--degree1", "--k", "0", "--r", "0.5"], "error: k must be >= 1"),
+    (["simulate", "--degree1", "--k", "-5", "--r", "0.5"], "error: k must be >= 1"),
 ])
 def test_usage_errors_name_the_problem(capsys, tmp_path, argv, message):
     missing = str(tmp_path / "absent.tsv")

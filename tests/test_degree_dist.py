@@ -112,6 +112,11 @@ def test_robust_soliton_degenerate():
     (raptor_omega, (0.0,), "eps must be positive and finite, got 0.0"),
     (optimal_distribution, (1.0,), r"z must lie in \[0, 1\), got 1.0"),
     (max_useful_degree, (1.0,), r"z must lie in \(0, 1\), got 1.0"),
+    # a subnormal c: k / R overflows to inf
+    (robust_soliton, (100, 1e-310, 0.5), "degenerate ripple size R=5.29"),
+    # R = 0.996 < fail_prob while the spike round(k / R) = 100 = k stays in range
+    (robust_soliton, (100, 0.996 / (math.log(100 / 0.997) * 10), 0.997),
+     "degenerate parameters: R must exceed fail_prob"),
 ])
 def test_constructors_reject_out_of_range_arguments(build, args, message):
     with pytest.raises(ValueError, match=message):

@@ -1,6 +1,5 @@
 import bisect
 import hashlib
-import io
 import itertools
 import math
 import tracemalloc
@@ -16,10 +15,8 @@ from fountain_lab import (
     encode,
     ideal_soliton,
     perturb,
-    read_symbols,
     robust_soliton,
     truncated_soliton,
-    write_symbols,
 )
 from fountain_lab import lt_codec, sim_harness
 from fountain_lab.lt_codec import CodedSymbols, DecoderState, sample_graph, xor_payload
@@ -97,8 +94,8 @@ def test_encode_deterministic_and_seed_sensitive():
     a = encode(inputs, ideal_soliton(40), 60, rng_seed=123)
     b = encode(inputs, ideal_soliton(40), 60, rng_seed=123)
     c = encode(inputs, ideal_soliton(40), 60, rng_seed=124)
-    assert a == b
-    assert a != c
+    assert list(a) == list(b)
+    assert list(a) != list(c)
 
 
 def test_coded_symbols_sequence():
@@ -107,19 +104,14 @@ def test_coded_symbols_sequence():
     inputs = random_inputs(rng, k, nbytes)
     symbols = encode(inputs, ideal_soliton(k), 25, rng_seed=8)
     assert isinstance(symbols, CodedSymbols) and len(symbols) == 25
-    buf = io.StringIO()
-    write_symbols(symbols, buf)
-    plain = read_symbols(io.StringIO(buf.getvalue()))
-    assert list(symbols) == plain
-    assert symbols == plain and plain == symbols and symbols == tuple(plain)
-    assert symbols != plain[:-1] and symbols != plain[::-1] and symbols != 5
-    for i in (0, 7, 24, -1, -25):
-        assert symbols[i] == plain[i]
-        assert symbols[i].payload == xor_payload(inputs, symbols[i].neighbors)
-    assert symbols[3:9] == plain[3:9] and symbols[::-4] == plain[::-4]
-    for i in (25, -26):
-        with pytest.raises(IndexError):
-            symbols[i]
+    plain = list(symbols)
+    assert len(plain) == 25 and all(type(sym) is CodedSymbol for sym in plain)
+    for i, sym in enumerate(plain):
+        first, end = symbols.offsets[i], symbols.offsets[i + 1]
+        assert sym.neighbors == tuple(symbols.neighbors[first:end].tolist())
+        assert sym.payload == symbols.payload[i].tobytes()
+        assert sym.payload == xor_payload(inputs, sym.neighbors)
+    assert list(CodedSymbols.pack(plain)) == plain
     for array in (symbols.offsets, symbols.neighbors, symbols.payload):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -129,7 +121,7 @@ def test_coded_symbols_sequence():
 
 def test_encode_no_symbols():
     symbols = encode([b"\x01\x02"] * 3, DEG1, 0, rng_seed=1)
-    assert len(symbols) == 0 and symbols == [] and list(symbols) == []
+    assert len(symbols) == 0 and list(symbols) == []
     assert symbols.offsets.tolist() == [0] and symbols.neighbors.size == 0
     assert symbols.payload.shape == (0, 2)
     assert decode(symbols, 3) == ([None] * 3, 0)
@@ -176,7 +168,7 @@ def test_encode_uniform_pair_statistics():
     k, n = 100, 10_000
     inputs = random_inputs(np.random.default_rng(0), k)
     symbols = encode(inputs, DEG2, n, rng_seed=2024)
-    assert all(sym.degree == 2 for sym in symbols)
+    assert all(len(sym.neighbors) == 2 for sym in symbols)
 
     counts = Counter(sym.neighbors for sym in symbols)
     cells = math.comb(k, 2)
@@ -191,13 +183,13 @@ def test_encode_degree_marginals_match():
     dist = robust_soliton(200, 0.05, 0.5)
     inputs = random_inputs(np.random.default_rng(1), 200)
     symbols = encode(inputs, dist, 20_000, rng_seed=5)
-    got = Counter(sym.degree for sym in symbols)
+    got = Counter(len(sym.neighbors) for sym in symbols)
     for degree in (1, 2, 3):
         expected = 20_000 * dist.mass(degree)
         assert abs(got[degree] - expected) <= 5.0 * math.sqrt(expected)
 
 
-# SHA-256 of write_symbols(encode(...)) as the per-symbol scalar encoder
+# SHA-256 of fixture_text(encode(...)) as the per-symbol scalar encoder
 # produced it: (dist, k, n, seed, payload bytes) -> digest. Inputs come from
 # golden_inputs(k, nbytes, k + n).
 GOLDEN = {
@@ -233,12 +225,17 @@ def golden_inputs(k, nbytes, seed):
     return [bytes(row) for row in rng.integers(0, 256, size=(k, nbytes), dtype=np.uint8)]
 
 
+def fixture_text(symbols):
+    """One line per symbol: "idx1,idx2,...<TAB>hex"."""
+    return "".join(",".join(map(str, sym.neighbors)) + "\t" + sym.payload.hex() + "\n"
+                   for sym in symbols)
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_encode_golden_digest(case):
     dist, k, n, seed, nbytes, digest = GOLDEN[case]
-    buf = io.StringIO()
-    write_symbols(encode(golden_inputs(k, nbytes, k + n), dist, n, seed), buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    text = fixture_text(encode(golden_inputs(k, nbytes, k + n), dist, n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def scalar_graph(dist, k, n, seed, chains=None):
@@ -377,25 +374,37 @@ def test_rejected_draw_replays_the_row(monkeypatch):
     assert got[:3] + got[4:] == plain[:3] + plain[4:]
 
 
-def test_graph_check_matches_symbol_check():
+def test_graph_check_rules():
     offsets = np.array([0, 2, 3])
     lt_codec._check_graph(offsets, np.array([1, 4, 0]))  # rows may restart low
-    for nbrs in ([4, 1, 0], [1, 1, 0], [-1, 4, 0]):
-        with pytest.raises(ValueError):
+    for nbrs, message in (([4, 1, 0], "sorted and distinct"), ([1, 1, 0], "sorted and distinct"),
+                          ([-1, 4, 0], "nonnegative")):
+        with pytest.raises(ValueError, match=message):
             lt_codec._check_graph(offsets, np.array(nbrs))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one neighbor"):
         lt_codec._check_graph(np.array([0, 2, 2]), np.array([1, 4]))
 
 
 def test_coded_symbol_validation():
-    with pytest.raises(ValueError):
-        CodedSymbol((), b"\x00")
-    with pytest.raises(ValueError):
-        CodedSymbol((2, 1), b"\x00")
-    with pytest.raises(ValueError):
-        CodedSymbol((1, 1), b"\x00")
-    with pytest.raises(ValueError, match="nonnegative"):
-        CodedSymbol((-1, 2), b"\x00")
+    for nbrs, message in (
+        ((), "a coded symbol needs at least one neighbor"),
+        ((2, 1), "neighbors must be sorted and distinct"),
+        ((1, 1), "neighbors must be sorted and distinct"),
+        ((-1, 2), "neighbor indices must be nonnegative"),
+    ):
+        symbol = CodedSymbol(nbrs, b"\x00")  # a plain record: decode checks it
+        with pytest.raises(ValueError, match=message):
+            decode([symbol], 3)
+
+
+def test_coded_symbols_checks_its_graph():
+    # rows 0 and 1 are [1, 4] and [2, 2]: the second repeats an input
+    offsets = np.array([0, 2, 4], dtype=np.int64)
+    neighbors = np.array([1, 4, 2, 2], dtype=np.int64)
+    payload = np.zeros((2, 1), dtype=np.uint8)
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        CodedSymbols(offsets, neighbors, payload)
+    assert neighbors.flags.writeable  # nothing was wrapped
 
 
 # --- decoding ---
@@ -433,7 +442,7 @@ def test_decode_rejects_out_of_range():
 
 def symbols_csr(symbols):
     offsets = np.zeros(len(symbols) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([sym.degree for sym in symbols], dtype=np.int64)
+    offsets[1:] = np.cumsum([len(sym.neighbors) for sym in symbols], dtype=np.int64)
     neighbors = np.array([v for sym in symbols for v in sym.neighbors], dtype=np.int64)
     return offsets, neighbors
 
@@ -582,10 +591,10 @@ def test_decode_xor_consistency_and_work_bound():
     depleted_edges = 0
     for idx, sym in enumerate(symbols):
         if state.residual_degree[idx] == 0:
-            depleted_edges += sym.degree
+            depleted_edges += len(sym.neighbors)
             # re-encoding the recovered inputs reproduces the payload
             assert xor_payload([values[v] for v in sym.neighbors],
-                               range(sym.degree)) == sym.payload
+                               range(len(sym.neighbors))) == sym.payload
     assert state.edge_removals == depleted_edges
 
 
@@ -644,15 +653,3 @@ def test_full_recovery_with_overhead():
     assert count == k
     assert values == inputs
 
-
-def test_wire_format_round_trip():
-    rng = np.random.default_rng(4)
-    _, _, symbols = random_instance(rng, k_max=9, n_max=12, nbytes=3)
-    buf = io.StringIO()
-    write_symbols(symbols, buf)
-    back = read_symbols(io.StringIO(buf.getvalue()))
-    assert back == symbols
-    with pytest.raises(ValueError):
-        read_symbols(io.StringIO("0;1\tzz\n"))
-    with pytest.raises(ValueError, match=r"^line 2: .*sorted and distinct"):
-        read_symbols(io.StringIO("# comment\n2,1\tff\n"))

@@ -31,6 +31,9 @@ def occupancy_mean(k, n):
 
 
 def test_config_validation():
+    for k in (0, -5):  # named before the support check, which would also fail
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            SimulationConfig(distribution=DEG1, k=k, r_values=(0.5,), trials=1)
     with pytest.raises(ValueError):
         SimulationConfig(distribution=DEG1, k=100, r_values=(0.5,), trials=0)
     with pytest.raises(ValueError):
