@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import math
 import sys
@@ -249,7 +250,17 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building the whole tree costs about twenty times one parse_args, which
+    every in-process caller (tests, benchmarks, notebooks) would pay per
+    call. The parser holds no state between parses, and each cmd_* finds
+    the library functions it calls through this module's globals, so
+    patching those still takes effect. Patching a cmd_* itself does not:
+    the parser keeps the function it was built with.
+    """
     parser = argparse.ArgumentParser(
         prog="fountain-lab",
         description="Rateless-code intermediate performance: analysis, bounds, design, simulation.",

@@ -23,10 +23,11 @@ semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
 dense tableau simplex solves it on a working set of grid points, and the
 grid points its prices undervalue most join the set, until none is left.
 Each round's simplex starts from the previous round's final tableau.
-Columns are built for the working set only, never for the whole grid. The
-optimum has few atoms (6 to 14 up to z = 0.995), so the restricted LPs stay
-small while the grid holds up to 10^5 points; the solver stays
-dependency-free and bit-reproducible.
+Columns are built for the working set only, never for the whole grid.
+Only the active rows carry a price, so the pricing and the design check
+sum A'(t) over the nonzero prices alone. The optimum has few atoms (6 to
+14 up to z = 0.995), so the restricted LPs stay small while the grid holds
+up to 10^5 points; the solver stays dependency-free and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -221,12 +222,13 @@ def _solve_moment_lp(
     Column generation: each round solves the LP restricted to a working set
     W of grid points, starting from the previous round's final basis, then
     prices every grid point t by its reduced cost
-    -log(1-t) - sum y(i) t^(i-1) and adds to W each local maximum of it
-    above PIVOT_TOL. With none left, the prices y are optimal for the whole
-    grid. The masses on W, zero elsewhere, are then scaled down until every
-    moment row holds exactly in float64 on their support, taken in grid
-    order, and the value is theirs, so it is a lower bound on r(z) without
-    the simplex's tolerance.
+    -log(1-t) - sum y(i) t^(i-1), summed over the nonzero prices only
+    (the active rows: 6 of 19 at z = 0.95), and adds to W each local
+    maximum of it above PIVOT_TOL. With none left, the prices y are optimal
+    for the whole grid. The masses on W, zero elsewhere, are then scaled
+    down until every moment row holds exactly in float64 on their support,
+    taken in grid order, and the value is theirs, so it is a lower bound on
+    r(z) without the simplex's tolerance.
     """
     validate_target(z, grid_step)
     xs, c, b = build_outer_bound_problem(z, grid_step)
@@ -238,7 +240,8 @@ def _solve_moment_lp(
     while True:
         # W in the order its points joined, so each round extends the last LP
         solution = simplex_solve(c[cols], _moment_columns(xs[cols], b.size), b, solution)
-        reduced = c - _power_sum(np.arange(b.size), solution.y, xs)
+        priced = np.flatnonzero(solution.y)
+        reduced = c - _power_sum(priced, solution.y[priced], xs) if priced.size else c
         peaks = _local_maxima(reduced)
         peaks = peaks[(reduced[peaks] > PIVOT_TOL) & ~working[peaks]]
         if not peaks.size:
@@ -289,14 +292,18 @@ def dual_outer_bound_details(
 def _worst_ratio(z: float, grid_step: float, y: np.ndarray) -> float:
     """Largest -log(1-t)/A'(t) over (0, z], where A'(t) = sum y(i) t^(i-1).
 
-    Evaluated on a grid ten times finer than the LP's. Each local maximum
-    there is refined by golden-section search over its two neighbouring
-    cells, all at once, so that a peak between grid points is not missed.
+    A'(t) is summed over the nonzero y(i) only; with none, the ratio is
+    inf. Evaluated on a grid ten times finer than the LP's. Each local
+    maximum there is refined by golden-section search over its two
+    neighbouring cells, all at once, so that a peak between grid points is
+    not missed.
     """
-    exponents = np.arange(y.size)
+    priced = np.flatnonzero(y)
+    if not priced.size:
+        return math.inf
 
     def ratio(t):
-        return _rate_ratio(t, _power_sum(exponents, y, t))
+        return _rate_ratio(t, _power_sum(priced, y[priced], t))
 
     ts = _grid_closed(z, grid_step / 10.0)
     q = ratio(ts[1:])  # the constraint at t = 0 needs no rate

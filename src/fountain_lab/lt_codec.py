@@ -99,15 +99,15 @@ class CodedSymbols:
 
     Symbol i's sorted inputs are neighbors[offsets[i]:offsets[i+1]] and its
     payload is payload[i]: offsets holds n+1 int64, neighbors int64, payload
-    n rows of uint8. The constructor checks the rows (`_check_graph`).
-    Iteration builds each CodedSymbol only when it is asked for; `encode`
-    and `DecoderState` use the arrays directly.
+    n rows of uint8. The constructor checks that shape and the rows
+    (`_check_graph`). Iteration builds each CodedSymbol only when it is
+    asked for; `encode` and `DecoderState` use the arrays directly.
     """
 
     __slots__ = ("offsets", "neighbors", "payload")
 
     def __init__(self, offsets: np.ndarray, neighbors: np.ndarray, payload: np.ndarray) -> None:
-        _check_graph(offsets, neighbors)
+        _check_graph(offsets, neighbors, payload)
         for array in (offsets, neighbors, payload):
             array.flags.writeable = False
         self.offsets, self.neighbors, self.payload = offsets, neighbors, payload
@@ -295,8 +295,12 @@ def sample_graph(
     return offsets, np.concatenate(neighbors)
 
 
-def _check_graph(offsets: np.ndarray, neighbors: np.ndarray) -> None:
-    """The neighbour rules of coded symbols, at once over a whole CSR graph."""
+def _check_graph(offsets: np.ndarray, neighbors: np.ndarray, payload: np.ndarray) -> None:
+    """The CSR shape and the neighbour rules of coded symbols, at once over a whole graph."""
+    if offsets.ndim != 1 or not offsets.size or offsets[0] != 0 or offsets[-1] != neighbors.size:
+        raise ValueError("offsets must be 1-D, start at 0 and end at the neighbor count")
+    if payload.ndim != 2 or payload.shape[0] != offsets.size - 1:
+        raise ValueError("payload needs one row per coded symbol")
     if np.any(np.diff(offsets) < 1):
         raise ValueError("a coded symbol needs at least one neighbor")
     gaps = np.diff(neighbors)

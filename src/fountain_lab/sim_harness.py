@@ -177,8 +177,9 @@ def sweep(
 
     Per-trial seeding makes the output identical for any worker count; the
     worker pool (FOUNTAIN_LAB_THREADS or the workers argument, capped at the
-    number of cells and of CPUs) only changes wall-clock time. Each worker receives the config once, when it starts;
-    a task is only its (r, trial index).
+    number of cells and of CPUs) only changes wall-clock time. Each worker
+    receives the config once, when it starts; a task is only its (r, trial
+    index).
     """
     cells = [
         (r, t) for r in sorted(config.r_values) for t in range(config.trials)

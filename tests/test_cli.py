@@ -85,6 +85,29 @@ def test_bound_above_design_rate(capsys):
     assert float(csv_rows(out)[0]["r_lower"]) < 0.877064
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_bound_calls_print_only_their_own_rows(capsys):
+    # the parser is shared, so no --z list may carry over into the next call
+    for zs in (["0.3", "0.6"], ["0.75"], ["0.4", "0.5", "0.6"]):
+        code, out, err = run_cli(capsys, "bound", *(a for z in zs for a in ("--z", z)),
+                                 "--grid-step", "0.01")
+        assert code == 0, err
+        assert [row["z"] for row in csv_rows(out)] == zs
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--z", "0.6", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "bound", "--z", "0.6", "--grid-step", "0.01")
+    assert code == 0
+    assert [row["z"] for row in csv_rows(out)] == ["0.6"]
+
+
 def test_bound_rejects_z_one(capsys):
     code, _, _ = run_cli(capsys, "bound", "--z", "1.0")
     assert code == 2

@@ -17,10 +17,12 @@ from fountain_lab import (
 )
 from fountain_lab import lp_bounds
 from fountain_lab.degree_dist import _power_sum
+from fountain_lab.asymptotics import _rate_ratio
 from fountain_lab.lp_bounds import (
     PIVOT_TOL,
     _moment_columns,
     _solve_moment_lp,
+    _worst_ratio,
     build_outer_bound_problem,
     simplex_solve,
 )
@@ -336,6 +338,66 @@ def test_column_generation_prices_hold_on_the_whole_grid():
         assert reduced.max() <= PIVOT_TOL, (z, step, xs[np.argmax(reduced)])
         assert float(rhs @ prices) == pytest.approx(value, abs=1e-9), (z, step)
         assert np.count_nonzero(masses) <= rhs.size  # a basic solution
+
+
+@pytest.mark.parametrize("z, step", [
+    *((z, 1e-3) for z in (0.7, 0.8, 0.9, 0.95, 0.99, 0.995)), (0.98, 5e-3),
+])
+def test_design_check_over_the_nonzero_prices_matches_all_rows(monkeypatch, z, step):
+    # the check sums A'(t) over the nonzero prices only; at every point it
+    # looks at, that is the sum over all m rows, zeros included
+    y = np.clip(_solve_moment_lp(z, step)[3], 0.0, None)
+    priced = np.flatnonzero(y)
+    assert priced.size
+    seen = []
+
+    def spy(t, deriv):
+        seen.append(np.array(t, dtype=float).ravel())
+        return _rate_ratio(t, deriv)
+
+    monkeypatch.setattr(lp_bounds, "_rate_ratio", spy)
+    got = _worst_ratio(z, step, y)
+    ts = np.concatenate(seen)
+    want = _rate_ratio(ts, _power_sum(np.arange(y.size), y, ts))
+    assert np.allclose(_rate_ratio(ts, _power_sum(priced, y[priced], ts)), want,
+                       rtol=1e-14, atol=0.0)
+    assert got == pytest.approx(float(want.max()), rel=1e-14, abs=0.0)
+
+
+def test_design_from_all_zero_prices_is_refused(monkeypatch):
+    value, xs, masses, prices = _solve_moment_lp(0.9, 1e-3)
+    monkeypatch.setattr(lp_bounds, "_moment_lp",
+                        lambda z, step: (value, xs, masses, np.zeros_like(prices)))
+    assert _worst_ratio(0.9, 1e-3, np.zeros_like(prices)) == math.inf
+    with pytest.raises(RuntimeError, match="moment LP gave an empty design"):
+        primal_min_r(0.9, 1e-3)
+
+
+# `bound --z ...` CSV rows at the default grid, written before the pricing
+# and the design check summed over the nonzero prices only; they keep their bytes
+BOUND_GOLDEN = """\
+z,r_lower,r_upper,m
+0.55,0.725916087,0.725916087,2
+0.6,0.76357561,0.76357561,2
+0.65,0.80755548,0.80755548,2
+0.7,0.841715003,0.841716386,3
+0.75,0.870305944,0.870306853,3
+0.8,0.901534618,0.901534684,4
+0.85,0.929003731,0.929003863,6
+0.9,0.95439859,0.95439886,9
+0.95,0.97804716,0.978047258,19
+0.975,0.98923148,0.989231601,39
+0.98,0.99141755,0.9914177,49
+0.99,0.995741219,0.995741612,99
+0.995,0.997878508,0.997879702,199
+"""
+
+
+def test_bound_curve_golden_csv():
+    zs = [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.975, 0.98, 0.99, 0.995]
+    buf = io.StringIO()
+    outer_bound_curve(zs, 1e-3).write_csv(buf)
+    assert buf.getvalue() == BOUND_GOLDEN
 
 
 def test_weak_duality_everywhere():

@@ -375,14 +375,26 @@ def test_rejected_draw_replays_the_row(monkeypatch):
 
 
 def test_graph_check_rules():
-    offsets = np.array([0, 2, 3])
-    lt_codec._check_graph(offsets, np.array([1, 4, 0]))  # rows may restart low
+    offsets, payload = np.array([0, 2, 3]), np.zeros((2, 1), np.uint8)
+    lt_codec._check_graph(offsets, np.array([1, 4, 0]), payload)  # rows may restart low
     for nbrs, message in (([4, 1, 0], "sorted and distinct"), ([1, 1, 0], "sorted and distinct"),
                           ([-1, 4, 0], "nonnegative")):
         with pytest.raises(ValueError, match=message):
-            lt_codec._check_graph(offsets, np.array(nbrs))
+            lt_codec._check_graph(offsets, np.array(nbrs), payload)
     with pytest.raises(ValueError, match="at least one neighbor"):
-        lt_codec._check_graph(np.array([0, 2, 2]), np.array([1, 4]))
+        lt_codec._check_graph(np.array([0, 2, 2]), np.array([1, 4]), payload)
+
+
+@pytest.mark.parametrize("offsets, neighbors, rows, message", [
+    ([0, 2], [1, 2, 3], 1, "end at the neighbor count"),  # a neighbour past the last row
+    ([0, 3], [1, 2], 1, "end at the neighbor count"),  # a row past the neighbours
+    ([1, 3], [1, 2, 3], 1, "start at 0"),
+    ([[0, 1], [1, 2]], [1, 2], 1, "1-D"),
+    ([0, 1, 2], [1, 2], 1, "one row per coded symbol"),
+])
+def test_coded_symbols_checks_its_shape(offsets, neighbors, rows, message):
+    with pytest.raises(ValueError, match=message):
+        CodedSymbols(np.array(offsets), np.array(neighbors), np.zeros((rows, 1), np.uint8))
 
 
 def test_coded_symbol_validation():
