@@ -73,31 +73,34 @@ def _rate_ratio(t, deriv):
     return np.where(deriv > 0.0, -np.log1p(-t) / np.maximum(deriv, 1e-300), np.inf)
 
 
-# golden-section steps per refined peak; each shrinks the bracket (two grid
+# golden-section steps of r_of_z's polish; each shrinks the bracket (two grid
 # cells) by 0.618, so 25 steps leave 6e-6 of it: 1e-9 wide at r_of_z's
-# default step, 1e-8 on the LP design's check grid. A smooth peak is flat to
-# second order, so the value found is then exact to rounding
+# default step. A smooth peak is flat to second order, so the value found is
+# then exact to rounding. lp_bounds' design check refines its peaks by nested
+# grids down to the same final bracket
 _GOLDEN_STEPS = 25
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo, hi) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     """Largest f seen by golden-section search for its peak inside [lo, hi].
 
-    lo, hi: scalars, or arrays of brackets searched at once; f maps points
-    to values of their shape. It sees two interior points, then one a step.
+    f maps a point to its value. It sees two interior points, then one a step.
     """
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best = max(float(np.max(fc)), float(np.max(fd)))
+    fc, fd = float(f(c)), float(f(d))
+    best = max(fc, fd)
     for _ in range(_GOLDEN_STEPS):
-        left = fc >= fd  # the peak lies in [lo, d]; else in [c, hi]
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        t = np.where(left, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
-        ft = f(t)
-        best = max(best, float(np.max(ft)))
-        c, d = np.where(left, t, d), np.where(left, c, t)
-        fc, fd = np.where(left, ft, fd), np.where(left, fc, ft)
+        if fc >= fd:  # the peak lies in [lo, d]
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = float(f(c))
+            best = max(best, fc)
+        else:  # in [c, hi]
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = float(f(d))
+            best = max(best, fd)
     return best
 
 
@@ -178,7 +181,11 @@ def r_of_z(
     origin_limit = 0.0 if dist.mass(1) > 0.0 else 1.0 / (2.0 * dist.mass(2))
 
     ts = _grid_closed(z, grid_step)
-    # t = 0 gives origin_limit; the grid maximum is polished between its neighbours
+    # t = 0 gives origin_limit; the grid maximum is polished between its
+    # neighbours by scalar golden-section search, not lp_bounds' batched
+    # nested grids: the benchmark's asymptotics.polish_s (perfbench/tracing.py)
+    # times these scalar pgf_derivative calls, until the library has its own
+    # recorder (ROADMAP item 1)
     ratios = _rate_ratio(ts[1:], pgf_derivative(dist, ts[1:]))
     best = int(np.argmax(ratios)) + 1
     lo, hi = ts[best - 1], ts[min(best + 1, ts.size - 1)]

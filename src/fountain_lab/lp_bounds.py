@@ -14,15 +14,16 @@ brackets the least achievable rate r(z) over all degree distributions:
 * its row prices y(i) are the optimum of the dual LP
       min  a(1)+...+a(m)   s.t.  A'(t) + log(1-t) >= 0 on the grid,
   with a(i) = y(i)/i and A(t) = sum a(i) t^i. That design is checked on a
-  10x finer grid with each local minimum of its margin refined, and inflated
-  back to feasibility, so the reported rate is achievable between the check
-  points too.
+  10x finer grid with each local minimum of its margin refined by nested
+  grids, all at once, and inflated back to feasibility, so the reported rate
+  is achievable between the check points too.
 
 The LP is solved by column generation, an exchange method for the
 semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
-dense tableau simplex solves it on a working set of grid points, and the
-grid points its prices undervalue most join the set, until none is left.
-Each round's simplex starts from the previous round's final tableau.
+dense tableau simplex with steepest-edge pricing solves it on a working set
+of grid points, and every grid point its prices undervalue joins the set,
+until none is left: at most 4 rounds up to z = 0.995 at grids 1e-3 and
+1e-4. Each round's simplex starts from the previous round's final tableau.
 Columns are built for the working set only, never for the whole grid.
 Only the active rows carry a price, so the pricing and the design check
 sum A'(t) over the nonzero prices alone. The optimum has few atoms (6 to
@@ -41,7 +42,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from . import CSV_FLOAT
-from .asymptotics import _golden_max, _grid_closed, _rate_ratio
+from .asymptotics import _GOLDEN_STEPS, _INV_PHI, _grid_closed, _rate_ratio
 from .degree_dist import DegreeDistribution, _power_sum, max_useful_degree
 
 PIVOT_TOL = 1e-9
@@ -53,9 +54,9 @@ DEFAULT_LP_GRID_STEP = 1e-3
 MAX_LP_GRID_POINTS = 10**5
 
 # most moment rows, m = max_useful_degree(z), the LP may have: z up to
-# 199/200. One solve took 0.04 s at m = 99 (z = 0.99) and 0.29 s at m = 199
-# on grid 1e-3, 0.08 s and 0.54 s on grid 1e-4, and `bound` took 2.3 s and
-# 70 MB at m = 199 on grid 1e-5 (2 vCPUs); m grows like 1/(1 - z)
+# 199/200. One solve took 0.014 s at m = 99 (z = 0.99) and 0.06 s at m = 199
+# on grid 1e-3, 0.02 s and 0.10 s on grid 1e-4, and `bound` took 0.7 s and
+# 70 MB at m = 199 on grid 1e-5 (2 vCPUs, best of 3); m grows like 1/(1 - z)
 MAX_LP_DEGREE = 199
 
 # pivots after which simplex_solve gives up on one restricted LP
@@ -74,13 +75,22 @@ class LpSolution:
     basis: np.ndarray = field(repr=False)
 
 
-def _entering(obj_row: np.ndarray, bland: bool) -> int | None:
-    """Dantzig's most negative reduced cost, or Bland's first negative one."""
+def _entering(tableau: np.ndarray, bland: bool) -> int | None:
+    """The steepest edge among the negative reduced costs, or Bland's first one.
+
+    The steepest edge is the most negative reduced cost d(j) divided by
+    sqrt(1 + |B^-1 a(j)|^2), the length of the edge that column j opens,
+    with B^-1 a(j) read from the tableau column (Forrest & Goldfarb, Math.
+    Programming 57, 1992).
+    """
+    candidates = np.flatnonzero(tableau[-1, :-1] < -PIVOT_TOL)
+    if not candidates.size:
+        return None
     if bland:
-        candidates = np.nonzero(obj_row < -PIVOT_TOL)[0]
-        return int(candidates[0]) if candidates.size else None
-    col = int(np.argmin(obj_row))
-    return col if obj_row[col] < -PIVOT_TOL else None
+        return int(candidates[0])
+    columns = tableau[:-1, candidates]
+    edges = tableau[-1, candidates] / np.sqrt(1.0 + np.einsum("ij,ij->j", columns, columns))
+    return int(candidates[np.argmin(edges)])
 
 
 def _leaving(tableau: np.ndarray, col: int, basis: np.ndarray) -> int | None:
@@ -107,7 +117,8 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 # consecutive degenerate pivots (leaving row at rhs <= PIVOT_TOL) after which
-# the entering rule turns from Dantzig's to Bland's, until a pivot moves again
+# the entering rule turns from the steepest edge to Bland's, until a pivot
+# moves again
 _DEGENERATE_RUN = 50
 
 
@@ -121,9 +132,10 @@ def simplex_solve(
     that basis by its final one: each further column a(j) enters the start's
     tableau as B^-1 a(j), read from its slack block, with reduced cost
     y.a(j) - c(j), so only the pivots the new columns open up are made.
-    The entering column has the most negative reduced cost (Dantzig's rule);
-    after _DEGENERATE_RUN degenerate pivots in a row it is the first negative
-    one (Bland's rule) until a pivot leaves a row with positive rhs. Bland's
+    The entering column is the steepest edge: the most negative reduced cost
+    over the length of the edge it opens (see _entering). After
+    _DEGENERATE_RUN degenerate pivots in a row it is the first negative one
+    (Bland's rule) until a pivot leaves a row with positive rhs. Bland's
     rule cannot cycle and every other pivot raises the objective, so no basis
     repeats. Deterministic given the input. The returned x is feasible
     within FEASIBILITY_TOL and admits no improving pivot; y holds one price
@@ -148,7 +160,7 @@ def simplex_solve(
         tableau[:, n:] = start.tableau[:, old:]
         basis = np.where(start.basis >= old, start.basis + (n - old), start.basis)
     iterations = degenerate = 0
-    while (col := _entering(tableau[-1, :-1], degenerate >= _DEGENERATE_RUN)) is not None:
+    while (col := _entering(tableau, degenerate >= _DEGENERATE_RUN)) is not None:
         row = _leaving(tableau, col, basis)
         if row is None:
             raise RuntimeError("simplex ended with status unbounded")
@@ -182,9 +194,18 @@ def validate_grid_step(grid_step: float) -> None:
 
 
 def validate_target(z: float, grid_step: float) -> None:
-    """Reject z outside (0, 1) or needing over MAX_LP_DEGREE rows, or a bad grid step."""
+    """Reject z outside (0, 1) or needing over MAX_LP_DEGREE rows, or a bad grid step.
+
+    Also a z whose objective -log(1-z) is at most PIVOT_TOL (z below about
+    1e-9): no reduced cost of the moment LP can exceed that tolerance, so
+    the simplex would price no point and leave an empty design.
+    """
     if not 0.0 < z < 1.0:
         raise ValueError(f"z must lie in (0, 1), got {z!r}")
+    if -math.log1p(-z) <= PIVOT_TOL:
+        raise ValueError(
+            f"z={z!r} is too small: -log(1-z) is within PIVOT_TOL = {PIVOT_TOL:g} of 0"
+        )
     m = max_useful_degree(z)
     if m > MAX_LP_DEGREE:
         raise ValueError(
@@ -223,12 +244,13 @@ def _solve_moment_lp(
     W of grid points, starting from the previous round's final basis, then
     prices every grid point t by its reduced cost
     -log(1-t) - sum y(i) t^(i-1), summed over the nonzero prices only
-    (the active rows: 6 of 19 at z = 0.95), and adds to W each local
-    maximum of it above PIVOT_TOL. With none left, the prices y are optimal
-    for the whole grid. The masses on W, zero elsewhere, are then scaled
-    down until every moment row holds exactly in float64 on their support,
-    taken in grid order, and the value is theirs, so it is a lower bound on
-    r(z) without the simplex's tolerance.
+    (the active rows: 6 of 19 at z = 0.95), and adds to W every grid point
+    outside it whose reduced cost exceeds PIVOT_TOL, so a round brings in
+    each contact point's whole neighbourhood at once. With none left, the
+    prices y are optimal for the whole grid. The masses on W, zero
+    elsewhere, are then scaled down until every moment row holds exactly in
+    float64 on their support, taken in grid order, and the value is theirs,
+    so it is a lower bound on r(z) without the simplex's tolerance.
     """
     validate_target(z, grid_step)
     xs, c, b = build_outer_bound_problem(z, grid_step)
@@ -242,12 +264,11 @@ def _solve_moment_lp(
         solution = simplex_solve(c[cols], _moment_columns(xs[cols], b.size), b, solution)
         priced = np.flatnonzero(solution.y)
         reduced = c - _power_sum(priced, solution.y[priced], xs) if priced.size else c
-        peaks = _local_maxima(reduced)
-        peaks = peaks[(reduced[peaks] > PIVOT_TOL) & ~working[peaks]]
-        if not peaks.size:
+        entering = np.flatnonzero((reduced > PIVOT_TOL) & ~working)
+        if not entering.size:
             break
-        working[peaks] = True
-        cols = np.concatenate((cols, peaks))
+        working[entering] = True
+        cols = np.concatenate((cols, entering))
     nonzero = solution.x != 0.0
     order = np.argsort(cols[nonzero])
     support, weights = cols[nonzero][order], solution.x[nonzero][order]
@@ -289,14 +310,48 @@ def dual_outer_bound_details(
     return value, xs, masses
 
 
+# evenly spaced interior points per bracket and level of _refine_max: they
+# cut the bracket into 34 cells, and the argmax's two neighbouring cells make
+# the next bracket, so each level shrinks every bracket 17x
+_REFINE_POINTS = 33
+# levels until every bracket is no wider than golden-section search's final
+# one, _INV_PHI**_GOLDEN_STEPS of its start: 5
+_REFINE_LEVELS = math.ceil(
+    _GOLDEN_STEPS * math.log(_INV_PHI) / math.log(2.0 / (_REFINE_POINTS + 1))
+)
+
+
+def _refine_max(f, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest f seen by nested grids over the brackets [lo(k), hi(k)], all at once.
+
+    f maps a 1-D array of points to their values. Each level evaluates
+    _REFINE_POINTS interior points of every bracket in one call of f (the
+    ends were seen before), and the two cells around each bracket's argmax
+    make its next bracket. That holds a unimodal peak, as golden-section
+    search's bracket does, and after _REFINE_LEVELS levels every bracket is
+    no wider than golden-section search's final one: five calls of f in
+    all, against _GOLDEN_STEPS + 2 sequential ones.
+    """
+    steps = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1)
+    rows = np.arange(lo.size)
+    best = -math.inf
+    for _ in range(_REFINE_LEVELS):
+        ts = np.column_stack((lo, lo[:, None] + (hi - lo)[:, None] * steps, hi))
+        values = f(ts[:, 1:-1].ravel()).reshape(lo.size, -1)
+        best = max(best, float(values.max()))
+        peak = np.argmax(values, axis=1) + 1
+        lo, hi = ts[rows, peak - 1], ts[rows, peak + 1]
+    return best
+
+
 def _worst_ratio(z: float, grid_step: float, y: np.ndarray) -> float:
     """Largest -log(1-t)/A'(t) over (0, z], where A'(t) = sum y(i) t^(i-1).
 
     A'(t) is summed over the nonzero y(i) only; with none, the ratio is
     inf. Evaluated on a grid ten times finer than the LP's. Each local
-    maximum there is refined by golden-section search over its two
-    neighbouring cells, all at once, so that a peak between grid points is
-    not missed.
+    maximum there is refined over its two neighbouring cells by _refine_max,
+    all at once, so that a peak between grid points is not missed: six
+    evaluations of A'(t) in all.
     """
     priced = np.flatnonzero(y)
     if not priced.size:
@@ -309,7 +364,7 @@ def _worst_ratio(z: float, grid_step: float, y: np.ndarray) -> float:
     q = ratio(ts[1:])  # the constraint at t = 0 needs no rate
     peak = _local_maxima(q) + 1
     lo, hi = ts[peak - 1], ts[np.minimum(peak + 1, ts.size - 1)]
-    return max(float(q.max()), _golden_max(ratio, lo, hi))
+    return max(float(q.max()), _refine_max(ratio, lo, hi))
 
 
 def primal_min_r(

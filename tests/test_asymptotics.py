@@ -156,22 +156,9 @@ def test_r_of_z_monotone_in_z():
 
 
 def test_golden_max_finds_known_peaks():
-    # one scalar bracket with the peak inside it
+    # one scalar bracket with the peak inside it (brackets searched at once
+    # are lp_bounds._refine_max's, tested in test_lp_bounds.py)
     assert _golden_max(lambda t: 1.0 - (t - 0.3) ** 2, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-
-    # three array brackets, searched at once: unit cells whose parabola of
-    # height h peaks at p; the tallest is in the middle cell
-    p = np.array([0.3, 1.7, 2.5])
-    h = np.array([1.0, 2.0, 1.5])
-
-    def cells(t):
-        i = np.floor(t).astype(int)
-        return h[i] - (t - p[i]) ** 2
-
-    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
-    best = _golden_max(cells, lo, hi)
-    assert best == pytest.approx(2.0, abs=1e-10)
-    assert best == max(_golden_max(cells, lo[i], hi[i]) for i in range(3))
 
     # a peak at a bracket end: only interior points are evaluated, so the
     # value comes within the final bracket of it, never beyond

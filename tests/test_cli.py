@@ -113,6 +113,22 @@ def test_bound_rejects_z_one(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("z", ["1e-10", "9.9e-10"])
+def test_bound_rejects_z_below_the_pivot_tolerance(capsys, z):
+    # -log(1-z) <= PIVOT_TOL: no grid point could enter the LP's basis and
+    # the design would be empty, so such a z is bad input, not an internal error
+    code, out, err = run_cli(capsys, "bound", "--z", z)
+    assert code == 2
+    assert out == ""
+    assert "PIVOT_TOL" in err
+
+
+def test_bound_smallest_accepted_z(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--z", "1e-9")
+    assert code == 0
+    assert out.splitlines()[-1] == "1e-09,1e-09,1e-09,1"
+
+
 def test_design_above_two_thirds(capsys, tmp_path):
     out_file = tmp_path / "design.tsv"
     code, _, err = run_cli(capsys, "design", "--z", "0.75", "-o", str(out_file))

@@ -17,10 +17,11 @@ from fountain_lab import (
 )
 from fountain_lab import lp_bounds
 from fountain_lab.degree_dist import _power_sum
-from fountain_lab.asymptotics import _rate_ratio
+from fountain_lab.asymptotics import _GOLDEN_STEPS, _INV_PHI, _rate_ratio
 from fountain_lab.lp_bounds import (
     PIVOT_TOL,
     _moment_columns,
+    _refine_max,
     _solve_moment_lp,
     _worst_ratio,
     build_outer_bound_problem,
@@ -60,8 +61,10 @@ def test_simplex_iteration_limit(monkeypatch):
 
 
 def test_simplex_solves_beales_cycling_example():
-    # Dantzig's rule alone cycles through six degenerate bases here forever;
-    # the switch to Bland's rule after a run of degenerate pivots ends it
+    # Dantzig's most negative reduced cost cycles through six degenerate
+    # bases here forever; the steepest edge leaves them in 3 pivots, and the
+    # switch to Bland's rule after a run of degenerate pivots would end any
+    # cycle the steepest edge fell into
     c = np.array([0.75, -20.0, 0.5, -6.0])
     sol = simplex_solve(c,
                         np.array([[0.25, -8.0, -1.0, 9.0],
@@ -69,6 +72,19 @@ def test_simplex_solves_beales_cycling_example():
                                   [0.0, 0.0, 1.0, 0.0]]),
                         np.array([0.0, 0.0, 1.0]))
     assert float(c @ sol.x) == pytest.approx(1.25, abs=1e-12)
+    assert sol.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_simplex_blands_rule_alone_solves_beales_example(monkeypatch):
+    # Bland's rule from the first pivot on: the steepest edge solves Beale's
+    # LP before the fallback starts, so this is where the fallback is tested
+    monkeypatch.setattr(lp_bounds, "_DEGENERATE_RUN", 0)
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    sol = simplex_solve(c,
+                        np.array([[0.25, -8.0, -1.0, 9.0],
+                                  [0.5, -12.0, -0.5, 3.0],
+                                  [0.0, 0.0, 1.0, 0.0]]),
+                        np.array([0.0, 0.0, 1.0]))
     assert sol.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
 
@@ -293,6 +309,30 @@ def test_warm_started_rounds_stay_within_pivot_budget(monkeypatch):
     assert sum(pivots) <= 1500, pivots
 
 
+# the z values of BOUND_GOLDEN below
+GOLDEN_ZS = [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.975, 0.98, 0.99, 0.995]
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+def test_exchange_rounds_stay_few(monkeypatch, step):
+    # each round adds every undervalued grid point, so a contact point's
+    # neighbourhood enters at once, not by bisection over many rounds
+    pivots = count_simplex_calls(monkeypatch)
+    for z in GOLDEN_ZS:
+        pivots.clear()
+        _solve_moment_lp(z, step)
+        assert 1 <= len(pivots) <= 4, (z, step, pivots)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-4])
+def test_steepest_edge_pivots_in_proportion_to_the_atoms(monkeypatch, step):
+    # the optimum has 14 atoms, and the steepest edge makes about 250
+    # pivots for them; the most negative reduced cost made over 1,100
+    pivots = count_simplex_calls(monkeypatch)
+    _solve_moment_lp(0.995, step)
+    assert sum(pivots) <= 400, pivots
+
+
 def test_bound_curve_solves_once_per_z(monkeypatch):
     cases = [0.75, 0.95]
     pivots = count_simplex_calls(monkeypatch)
@@ -364,6 +404,64 @@ def test_design_check_over_the_nonzero_prices_matches_all_rows(monkeypatch, z, s
     assert got == pytest.approx(float(want.max()), rel=1e-14, abs=0.0)
 
 
+def test_refine_max_finds_known_peaks():
+    # three brackets refined at once: unit cells whose parabola of height h
+    # peaks at p; the tallest is in the middle cell
+    p = np.array([0.3, 1.7, 2.5])
+    h = np.array([1.0, 2.0, 1.5])
+
+    def cells(t):
+        i = np.floor(t).astype(int)
+        return h[i] - (t - p[i]) ** 2
+
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    best = _refine_max(cells, lo, hi)
+    assert best == pytest.approx(2.0, abs=1e-10)
+    assert best == max(_refine_max(cells, lo[i:i + 1], hi[i:i + 1]) for i in range(3))
+
+    # a peak at a bracket end: only interior points are evaluated, so the
+    # value comes within golden-section search's final bracket of it
+    best = _refine_max(lambda t: t, np.array([0.25]), np.array([0.5]))
+    assert 0.5 - 0.25 * _INV_PHI**_GOLDEN_STEPS < best < 0.5
+
+
+def test_design_check_finds_a_peak_between_check_points():
+    # A'(t) = 0.4 + 2.4 t^3: the ratio -log(1-t)/A'(t) peaks near t = 0.566,
+    # between two points of the 1e-3 check grid, which alone misses it
+    z, step = 0.8, 1e-2
+    y = np.array([0.4, 0.0, 0.0, 2.4])
+    ts = np.linspace(0.0, z, 10**6)[1:]
+    dense = float(_rate_ratio(ts, 0.4 + 2.4 * ts**3).max())
+    check = np.arange(1, 801) * 1e-3
+    assert dense - float(_rate_ratio(check, 0.4 + 2.4 * check**3).max()) > 1e-8
+    assert _worst_ratio(z, step, y) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.3, 0.6])
+def test_design_check_of_one_price_peaks_at_z(z):
+    # degree 1 or 2 alone: the ratio rises on (0, z], so the check returns
+    # its value at t = z; every refined point lies below z
+    y = np.clip(_solve_moment_lp(z, 1e-3)[3], 0.0, None)
+    priced = np.flatnonzero(y)
+    assert priced.size == 1
+    at_z = float(_rate_ratio(z, _power_sum(priced, y[priced], np.array([z])))[0])
+    assert _worst_ratio(z, 1e-3, y) == at_z
+
+
+def test_design_check_evaluates_in_a_few_batches(monkeypatch):
+    # the check grid, then one batch per refinement level for all peaks
+    y = np.clip(_solve_moment_lp(0.95, 1e-3)[3], 0.0, None)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return _power_sum(*args)
+
+    monkeypatch.setattr(lp_bounds, "_power_sum", counted)
+    _worst_ratio(0.95, 1e-3, y)
+    assert len(calls) <= 6, calls
+
+
 def test_design_from_all_zero_prices_is_refused(monkeypatch):
     value, xs, masses, prices = _solve_moment_lp(0.9, 1e-3)
     monkeypatch.setattr(lp_bounds, "_moment_lp",
@@ -394,9 +492,8 @@ z,r_lower,r_upper,m
 
 
 def test_bound_curve_golden_csv():
-    zs = [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.975, 0.98, 0.99, 0.995]
     buf = io.StringIO()
-    outer_bound_curve(zs, 1e-3).write_csv(buf)
+    outer_bound_curve(GOLDEN_ZS, 1e-3).write_csv(buf)
     assert buf.getvalue() == BOUND_GOLDEN
 
 
