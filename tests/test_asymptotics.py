@@ -7,6 +7,7 @@ import pytest
 
 from fountain_lab import (
     DegreeDistribution,
+    asymptotics,
     check_margin_condition,
     ideal_soliton,
     limiting_soliton,
@@ -18,7 +19,8 @@ from fountain_lab import (
     s_of_r,
     truncated_soliton,
 )
-from fountain_lab.asymptotics import _golden_max, _rate_ratio
+from fountain_lab.asymptotics import _crossing, _golden_max, _rate_ratio
+from fountain_lab.degree_dist import pgf_derivative
 
 DEG1 = DegreeDistribution.from_mapping({1: 1.0})
 DEG2 = DegreeDistribution.from_mapping({2: 1.0})
@@ -258,3 +260,135 @@ def test_r_of_z_golden(big_dists, label, z, expected):
 def test_s_of_r_and_margin_golden(big_dists, label, r, expected, margin_ok):
     assert s_of_r(r, big_dists[label]) == pytest.approx(expected, rel=1e-12)
     assert check_margin_condition(r, big_dists[label]) is margin_ok
+
+
+# --- _crossing against a full scan with scalar bisection ---
+
+
+def reference_crossing(r, dist, grid_step, refine_tol):
+    """Every grid point in 512-point chunks, then one midpoint per call."""
+    n_pts = int(round(1.0 / grid_step))
+    weak, hit = [], None
+    with np.errstate(over="ignore"):
+        for start in range(0, n_pts, 512):
+            ts = np.arange(start, min(start + 512, n_pts)) * grid_step
+            vals = r * pgf_derivative(dist, ts) + np.log1p(-ts)
+            bad = np.flatnonzero(vals < -refine_tol)
+            end = int(bad[0]) if bad.size else ts.size
+            weak.append(ts[:end][vals[:end] <= refine_tol])
+            if bad.size:
+                hit = start + end
+                break
+    weak = np.concatenate(weak)
+    if hit is None:
+        return 1.0, weak
+    lo, hi = (hit - 1) * grid_step, hit * grid_step
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        if peeling_margin(mid, r, dist) < -refine_tol:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), weak
+
+
+def dip_distribution():
+    """P(1) = P(40) = 1/2 and the rate at which the grid's least margin is 0.
+
+    The margin falls to 0 at t = 0.8539, on the 1e-4 grid, and rises again
+    within the same 64-point cell; the chunk before stays far above a
+    cell's width, so the dip's chunk is bounded.
+    """
+    dist = DegreeDistribution.from_mapping({1: 0.5, 40: 0.5})
+    ts = np.arange(1, 10**4) * 1e-4
+    return dist, float(np.max(_rate_ratio(ts, pgf_derivative(dist, ts))))
+
+
+def assert_crossing_matches_reference(r, dist, grid_step, refine_tol=1e-9):
+    s, weak = _crossing(r, dist, grid_step, refine_tol)
+    ref_s, ref_weak = reference_crossing(r, dist, grid_step, refine_tol)
+    assert s == ref_s, (r, grid_step)
+    assert np.array_equal(weak, ref_weak), (r, grid_step)
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-4])
+def test_crossing_matches_reference_on_large_supports(big_dists, grid_step):
+    dists = dict(big_dists, limiting=limiting_soliton(BIG_K))
+    for dist in dists.values():
+        for r in (0.5, 0.9, 1.0, 1.2):
+            assert_crossing_matches_reference(r, dist, grid_step)
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-4])
+def test_crossing_matches_reference_on_random_distributions(grid_step):
+    for seed in range(6):
+        dist = random_distribution(np.random.default_rng(seed))
+        for r in np.linspace(0.1, 2.5, 9):
+            assert_crossing_matches_reference(float(r), dist, grid_step)
+
+
+def test_crossing_matches_reference_through_a_dip():
+    dist, r = dip_distribution()
+    s, weak = _crossing(r, dist, 1e-4, 1e-9)
+    assert s == 1.0 and weak.tolist() == [0.8539]
+    assert check_margin_condition(r, dist) is False
+    # just below that rate the dip is the crossing
+    below = r * (1.0 - 1e-6)
+    assert 0.85 < s_of_r(below, dist) < 0.8539
+    for rate in (r, below):
+        for grid_step in (1e-3, 1e-4):
+            assert_crossing_matches_reference(rate, dist, grid_step)
+
+
+def test_refine_tol_down_to_float_epsilon_terminates():
+    assert s_of_r(0.7, DEG1, refine_tol=2.3e-16) == pytest.approx(1.0 - math.exp(-0.7), abs=1e-6)
+    with pytest.raises(ValueError, match="float epsilon"):
+        s_of_r(0.7, DEG1, refine_tol=1e-17)
+
+
+# --- what the scan and the bisection evaluate ---
+
+
+@pytest.fixture
+def margin_calls(monkeypatch):
+    """Points per pgf_derivative call, and peeling_margin calls, in asymptotics."""
+    calls = {"pgf": [], "margin": 0}
+
+    def counted_pgf(dist, t, inner=asymptotics.pgf_derivative):
+        calls["pgf"].append(np.size(t))
+        return inner(dist, t)
+
+    def counted_margin(t, r, dist, inner=asymptotics.peeling_margin):
+        calls["margin"] += 1
+        return inner(t, r, dist)
+
+    monkeypatch.setattr(asymptotics, "pgf_derivative", counted_pgf)
+    monkeypatch.setattr(asymptotics, "peeling_margin", counted_margin)
+    return calls
+
+
+def test_cell_bound_skips_clear_stretches(margin_calls):
+    # the margin stays positive up to 1 - 1e-4: the full scan evaluates 10^4 points
+    assert s_of_r(1.2, ideal_soliton(BIG_K)) == 1.0
+    assert sum(margin_calls["pgf"]) < 2_000
+
+
+def test_cell_bound_gate_holds_on_knife_edge(margin_calls):
+    # the margin sits near 1e-4, below a cell's width: every chunk is
+    # evaluated whole, and no cell's first point is evaluated apart
+    assert s_of_r(1.0, limiting_soliton(BIG_K)) == 1.0
+    assert margin_calls["pgf"] == [512] * 19 + [272]
+
+
+def test_cell_bound_skips_cells_before_a_dip(margin_calls):
+    dist, r = dip_distribution()
+    s_of_r(r, dist)
+    # fewer points than lie below the dip at t = 0.8539
+    assert sum(margin_calls["pgf"]) < 8_539
+
+
+def test_default_step_crossing_takes_three_margin_calls(margin_calls):
+    for r, dist in ((0.5, DEG1), (math.log(2.0), DEG1), (0.9, ideal_soliton(BIG_K))):
+        margin_calls["margin"] = 0
+        assert s_of_r(r, dist) < 1.0
+        assert margin_calls["margin"] <= 3

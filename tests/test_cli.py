@@ -315,6 +315,15 @@ def test_grid_step_capped_before_output(capsys, argv):
     assert_rejected_before_output(*run_cli(capsys, *argv))
 
 
+@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+def test_refine_tol_below_float_epsilon_rejected_before_output(capsys, tol):
+    # a bisection cannot shrink its bracket below float spacing, so these
+    # would never finish
+    code, out, err = run_cli(capsys, "analyze", "--degree1", "--r", "0.7", "--refine-tol", tol)
+    assert_rejected_before_output(code, out, err)
+    assert "float epsilon" in err
+
+
 def test_curves_grid_step_capped_before_output(capsys, tmp_path):
     out_dir = tmp_path / "curves"
     code, out, err = run_cli(capsys, "curves", "--out-dir", str(out_dir),
