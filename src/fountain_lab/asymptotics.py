@@ -112,8 +112,8 @@ def _rate_ratio(t, deriv):
 # golden-section steps of r_of_z's polish; each shrinks the bracket (two grid
 # cells) by 0.618, so 25 steps leave 6e-6 of it: 1e-9 wide at r_of_z's
 # default step. A smooth peak is flat to second order, so the value found is
-# then exact to rounding. lp_bounds' design check refines its peaks by nested
-# grids down to the same final bracket
+# then exact to rounding. lp_bounds' design check bounds the same kind of
+# ratio from above on every cell instead of searching for its peak
 _GOLDEN_STEPS = 25
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -251,8 +251,8 @@ def r_of_z(
 
     ts = _grid_closed(z, grid_step)
     # t = 0 gives origin_limit; the grid maximum is polished between its
-    # neighbours by scalar golden-section search, not lp_bounds' batched
-    # nested grids: the benchmark's asymptotics.polish_s (perfbench/tracing.py)
+    # neighbours by scalar golden-section search, not by lp_bounds' cell
+    # bound: the benchmark's asymptotics.polish_s (perfbench/tracing.py)
     # times these scalar pgf_derivative calls, until the library has its own
     # recorder (ROADMAP item 1)
     ratios = _rate_ratio(ts[1:], pgf_derivative(dist, ts[1:]))

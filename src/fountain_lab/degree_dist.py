@@ -39,6 +39,8 @@ _CHUNK_ELEMENTS = 1 << 16
 def _check_degree(d: int) -> None:
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"degrees must be integers >= 1, got {d!r}")
+    if d > 2**63 - 1:  # degree_array holds them as int64
+        raise ValueError(f"degrees must be at most 2**63 - 1, got {d!r}")
 
 
 def _check_mass(m: float) -> None:

@@ -13,10 +13,10 @@ brackets the least achievable rate r(z) over all degree distributions:
 
 * its row prices y(i) are the optimum of the dual LP
       min  a(1)+...+a(m)   s.t.  A'(t) + log(1-t) >= 0 on the grid,
-  with a(i) = y(i)/i and A(t) = sum a(i) t^i. That design is checked on a
-  10x finer grid with each local minimum of its margin refined by nested
-  grids, all at once, and inflated back to feasibility, so the reported rate
-  is achievable between the check points too.
+  with a(i) = y(i)/i and A(t) = sum a(i) t^i. That design is inflated by
+  an upper bound on -log(1-t)/A'(t) over all of (0, z], proved cell by cell
+  in closed form from a Taylor bound of each side, so the reported rate is
+  achievable on the continuum, not just on the grid.
 
 The LP is solved by column generation, an exchange method for the
 semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
@@ -42,15 +42,14 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from . import CSV_FLOAT
-from .asymptotics import _GOLDEN_STEPS, _INV_PHI, _grid_closed, _rate_ratio
+from .asymptotics import _BOUND_SLACK, _grid_closed
 from .degree_dist import DegreeDistribution, _power_sum, max_useful_degree
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
 DEFAULT_LP_GRID_STEP = 1e-3
 
-# most points an LP grid may hold, so grid steps go down to 1e-5; the
-# verification grid of primal_min_r is ten times finer
+# most points an LP grid may hold, so grid steps go down to 1e-5
 MAX_LP_GRID_POINTS = 10**5
 
 # most moment rows, m = max_useful_degree(z), the LP may have: z up to
@@ -229,12 +228,6 @@ def _moment_columns(ts: np.ndarray, m: int) -> np.ndarray:
     return np.array([ts**i for i in range(m)])
 
 
-def _local_maxima(v: np.ndarray) -> np.ndarray:
-    """Indices where v is at least both neighbours (an end needs only one)."""
-    padded = np.concatenate(([-np.inf], v, [-np.inf]))
-    return np.flatnonzero((v >= padded[:-2]) & (v >= padded[2:]))
-
-
 def _solve_moment_lp(
     z: float, grid_step: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -310,61 +303,58 @@ def dual_outer_bound_details(
     return value, xs, masses
 
 
-# evenly spaced interior points per bracket and level of _refine_max: they
-# cut the bracket into 34 cells, and the argmax's two neighbouring cells make
-# the next bracket, so each level shrinks every bracket 17x
-_REFINE_POINTS = 33
-# levels until every bracket is no wider than golden-section search's final
-# one, _INV_PHI**_GOLDEN_STEPS of its start: 5
-_REFINE_LEVELS = math.ceil(
-    _GOLDEN_STEPS * math.log(_INV_PHI) / math.log(2.0 / (_REFINE_POINTS + 1))
-)
+# width of the design check's cells in -log(1 - t): a cell starting at a is
+# about _CELL_WIDTH * (1 - a) wide. The bound's excess over the ratio grows
+# like the width cubed; over z in {0.3, 0.55, 0.6, ..., 0.95, 0.975, 0.98,
+# 0.99, 0.995} at grids 1e-2, 5e-3, 1e-3 and 1e-4 it was at most 2.2e-9,
+# 9.2e-9 and 2.4e-8 of a dense 10^6-point maximum at widths 5e-4, 7.5e-4
+# and 1e-3, and never below it
+_CELL_WIDTH = 7.5e-4
 
 
-def _refine_max(f, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Largest f seen by nested grids over the brackets [lo(k), hi(k)], all at once.
+def _worst_ratio(z: float, y: np.ndarray) -> float:
+    """An upper bound on -log(1-t)/A'(t) over (0, z], where A'(t) = sum y(i) t^(i-1).
 
-    f maps a 1-D array of points to their values. Each level evaluates
-    _REFINE_POINTS interior points of every bracket in one call of f (the
-    ends were seen before), and the two cells around each bracket's argmax
-    make its next bracket. That holds a unimodal peak, as golden-section
-    search's bracket does, and after _REFINE_LEVELS levels every bracket is
-    no wider than golden-section search's final one: five calls of f in
-    all, against _GOLDEN_STEPS + 2 sequential ones.
-    """
-    steps = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1)
-    rows = np.arange(lo.size)
-    best = -math.inf
-    for _ in range(_REFINE_LEVELS):
-        ts = np.column_stack((lo, lo[:, None] + (hi - lo)[:, None] * steps, hi))
-        values = f(ts[:, 1:-1].ravel()).reshape(lo.size, -1)
-        best = max(best, float(values.max()))
-        peak = np.argmax(values, axis=1) + 1
-        lo, hi = ts[rows, peak - 1], ts[rows, peak + 1]
-    return best
-
-
-def _worst_ratio(z: float, grid_step: float, y: np.ndarray) -> float:
-    """Largest -log(1-t)/A'(t) over (0, z], where A'(t) = sum y(i) t^(i-1).
-
-    A'(t) is summed over the nonzero y(i) only; with none, the ratio is
-    inf. Evaluated on a grid ten times finer than the LP's. Each local
-    maximum there is refined over its two neighbouring cells by _refine_max,
-    all at once, so that a peak between grid points is not missed: six
-    evaluations of A'(t) in all.
+    A' has nonnegative coefficients, so on a cell [a, b], with u = t - a,
+        A'(t)       >= A'(a) + A''(a) u + A'''(a) u^2 / 2 = L(u),
+        -log(1 - t) <= -log(1 - a) + u / (1 - a) + u^2 / (2 (1 - b)^2) = U(u).
+    The derivative of U/L vanishes at the roots of a quadratic (the cubic
+    terms cancel), so the largest U/L on [0, b - a] lies at an end or at one
+    of those roots: a closed form for all cells at once, from three power
+    sums at the cell starts. The maximum over the cells, inflated by the
+    rounding allowance of asymptotics' scan bound, bounds the ratio on all
+    of (0, z]. Where A'(0) = 0 the first cell's ratio is
+    (U(u)/u) / (L(u)/u), monotone in u, with the value 1/A''(0) at t -> 0+;
+    it is inf if A''(0) = 0 too, as it is without any nonzero y(i).
     """
     priced = np.flatnonzero(y)
     if not priced.size:
         return math.inf
-
-    def ratio(t):
-        return _rate_ratio(t, _power_sum(priced, y[priced], t))
-
-    ts = _grid_closed(z, grid_step / 10.0)
-    q = ratio(ts[1:])  # the constraint at t = 0 needs no rate
-    peak = _local_maxima(q) + 1
-    lo, hi = ts[peak - 1], ts[np.minimum(peak + 1, ts.size - 1)]
-    return max(float(q.max()), _refine_max(ratio, lo, hi))
+    ends = -np.expm1(-_CELL_WIDTH * np.arange(math.ceil(-math.log1p(-z) / _CELL_WIDTH)))
+    ends = np.append(ends[ends < z], z)
+    a, b = ends[:-1], ends[1:]
+    # A', A'' and A''' at the cell starts. _power_sum drops only nonnegative
+    # terms, so each comes out low, which only raises U/L: the safe side
+    coef, taylor = y[priced], []
+    for k in range(3):
+        taylor.append(_power_sum(np.maximum(priced - k, 0), coef, a))
+        coef = coef * (priced - k)
+    l0, l1, l2 = taylor[0], taylor[1], 0.5 * taylor[2]
+    u0, u1, u2 = -np.log1p(-a), 1.0 / (1.0 - a), 0.5 / (1.0 - b) ** 2
+    # (U/L)' = 0 where c2 u^2 + c1 u + c0 = 0, at q / c2 and c0 / q below
+    c0, c1, c2 = u1 * l0 - u0 * l1, 2.0 * (u2 * l0 - u0 * l2), u2 * l1 - u1 * l2
+    h = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        # a root outside the cell moves to its nearer end; without a real
+        # root the ratio is nan, which nanmax skips
+        us = [h, np.clip(q / c2, 0.0, h), np.clip(c0 / q, 0.0, h)]
+        ratios = [u0 / l0] + [(u0 + (u1 + u2 * u) * u) / (l0 + (l1 + l2 * u) * u) for u in us]
+        if l0[0] == 0.0:  # U(0) = L(0) = 0 at t = 0: the limit 1/A''(0)
+            ratios[0][0] = 1.0 / l1[0]
+    best = float(np.nanmax(ratios))
+    slack = max(_BOUND_SLACK, priced.size * np.finfo(float).eps)
+    return best * (1.0 + slack)
 
 
 def primal_min_r(
@@ -378,17 +368,17 @@ def primal_min_r(
     the moment LP, so a(i) = y(i)/i from the moment LP's row prices y(i);
     at z = 1/2, m = 1 and the design is all degree 1, as
     optimal_distribution documents. Because the grid leaves out the points
-    between its own, the constraint is re-checked on a 10x finer grid, with
-    each local minimum of the margin refined between its neighbours, and
-    the design is scaled up by the smallest factor restoring feasibility at
-    all those points and bringing its rate up to the certified lower bound.
+    between its own, the design is scaled up by an upper bound on
+    -log(1-t)/A'(t) over all of (0, z] (see _worst_ratio), which makes it
+    feasible on the whole interval, and at least to the certified lower
+    bound.
 
     Returns (distribution with P(i) = a(i)/r, r = sum a(i)).
     """
     lower, _, _, prices = _moment_lp(z, grid_step)
     y = np.clip(prices, 0.0, None)
     degrees = np.arange(1, y.size + 1)
-    factor = max(1.0, _worst_ratio(z, grid_step, y))
+    factor = max(1.0, _worst_ratio(z, y))
     if not math.isfinite(factor):
         raise RuntimeError("moment LP gave an empty design")
     a = y / degrees
@@ -408,7 +398,7 @@ class BoundRow:
     m: int
 
     def __post_init__(self) -> None:
-        if self.r_lower_dual > self.r_upper_primal + 1e-6:
+        if self.r_lower_dual > self.r_upper_primal:
             raise ValueError(
                 f"lower bound {self.r_lower_dual!r} exceeds upper value "
                 f"{self.r_upper_primal!r} at z={self.z!r}"

@@ -158,8 +158,7 @@ def test_r_of_z_monotone_in_z():
 
 
 def test_golden_max_finds_known_peaks():
-    # one scalar bracket with the peak inside it (brackets searched at once
-    # are lp_bounds._refine_max's, tested in test_lp_bounds.py)
+    # one scalar bracket with the peak inside it
     assert _golden_max(lambda t: 1.0 - (t - 0.3) ** 2, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     # a peak at a bracket end: only interior points are evaluated, so the

@@ -58,6 +58,14 @@ def test_analyze_dist_file_names_the_bad_line(capsys, tmp_path):
     assert "error: line 2: degrees must be integers >= 1, got 0" in err
 
 
+def test_analyze_dist_file_rejects_a_degree_beyond_int64(capsys, tmp_path):
+    path = tmp_path / "big.tsv"
+    path.write_text("1\t0.5\n10000000000000000000\t0.5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--dist-file", str(path), "--r", "1")
+    assert (code, out) == (2, "")
+    assert "error: line 2: degrees must be at most 2**63 - 1" in err
+
+
 def test_analyze_rejects_negative_rate(capsys):
     code, _, err = run_cli(capsys, "analyze", "--degree1", "--r", "-1")
     assert code == 2

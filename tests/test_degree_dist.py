@@ -527,11 +527,19 @@ def test_text_format_rejects_garbage():
     ("\n1\tnan\n", "line 2: masses must be finite and >= 0, got nan"),
     # the first bad record in the file, not in degree order
     ("3\tinf\n-1\t0.5\n", "line 1: masses must be finite and >= 0, got inf"),
+    # a degree beyond int64 would fail only when degree_array is first built
+    ("1\t0.5\n10000000000000000000\t0.5\n",
+     "line 2: degrees must be at most 2**63 - 1, got 10000000000000000000"),
 ])
 def test_text_format_names_the_line_of_a_bad_entry(text, message):
     with pytest.raises(ValueError) as info:
         read_distribution(io.StringIO(text))
     assert str(info.value) == message
+
+
+def test_text_format_keeps_degrees_up_to_int64():
+    back = read_distribution(io.StringIO("1\t0.5\n9223372036854775807\t0.5\n"))
+    assert back.degree_array.tolist() == [1, 2**63 - 1]
 
 
 def test_text_format_mass_sum_error_names_no_line():
