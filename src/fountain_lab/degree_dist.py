@@ -282,7 +282,7 @@ def robust_soliton(k: int, c: float, fail_prob: float) -> DegreeDistribution:
     if not 0.0 < fail_prob < 1.0:
         raise ValueError("fail_prob must lie in (0, 1)")
     R = c * math.log(k / fail_prob) * math.sqrt(k)
-    if R <= 0.0 or not 2.0 <= k / R < math.inf:  # a subnormal c overflows k / R
+    if not 2.0 <= k / R < math.inf:  # a subnormal c overflows k / R
         raise ValueError(f"degenerate ripple size R={R!r} for k={k}")
     spike = int(round(k / R))
     if spike < 2 or spike > k:

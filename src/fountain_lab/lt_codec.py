@@ -6,7 +6,11 @@ their payloads. Decoding: repeatedly take a symbol whose residual degree is
 one, recover its remaining input, and cancel that input out of every other
 symbol containing it; stop when no degree-one symbols remain. `peel` does
 this round-parallel on the CSR graph: each round releases every degree-one
-symbol at once, one per input. The order does not change the result: the
+symbol at once, one per input. It finds the symbols at each input by one
+sort of packed input*n + symbol keys, and keeps each symbol's sum of
+undecoded neighbours, which for a degree-one symbol is its lone input; so a
+round costs numpy calls over the edges it removes, not over the ripple's
+rows. The order does not change the result: the
 inputs left unrecovered form the largest stopping set of the received graph,
 which is the same for every release order (Di, Proietti, Telatar, Richardson
 & Urbanke, IEEE Trans. IT 48, 2002), and when each payload is the XOR of its
@@ -252,7 +256,9 @@ def _sample_block(
     chosen = base + _fisher_yates(base, step, pick, row_start, k, width)
     chosen.sort()
     neighbors = chosen - base
-    for r in set(row[_rejected(draws, m)].tolist()):
+    # randbelow(m) rejects only draws >= 2**64 - (2**64 mod m) > 2**64 - k
+    near = np.flatnonzero(draws > np.uint64(2**64 - k))
+    for r in set(row[near[_rejected(draws[near], m[near])]].tolist()):
         a, d = int(row_start[r]), int(deg[r])
         neighbors[a : a + d] = _replay_row(int(seeds[r]), k, d)
     return deg, neighbors
@@ -349,31 +355,49 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
 
     Each round releases every degree-one symbol, the lowest-indexed per input.
     Returns the decoded mask, the (symbols, inputs) released in each round,
-    each symbol's residual degree (its undecoded neighbours) and the edge
-    removals, the summed degrees of the decoded inputs.
+    inputs ascending, each symbol's residual degree (its undecoded
+    neighbours) and the edge removals, the summed degrees of the decoded
+    inputs. Every symbol needs at least one neighbour, and k**2 < 2**63.
+
+    The symbols at each input come from one sort of the packed keys
+    input*n + symbol, int32 while k*n < 2**31: the order of a stable argsort
+    of neighbors, at a fraction of its cost. Beside its residual degree each
+    symbol keeps the sum of its undecoded neighbours, so a degree-one
+    symbol's sum is its lone input, read without gathering its row.
     """
     residual = np.diff(offsets)
+    n = residual.size
     decoded = np.zeros(k, dtype=bool)
-    # the symbols at each input, int32 to halve the edge-length arrays holding them
-    by_input = np.repeat(np.arange(residual.size, dtype=np.int32), residual)
-    by_input = by_input[np.argsort(neighbors)]
+    counts = np.bincount(neighbors, minlength=k)
     input_offsets = np.zeros(k + 1, dtype=np.int64)
-    np.add.accumulate(np.bincount(neighbors, minlength=k), out=input_offsets[1:])
+    np.add.accumulate(counts, out=input_offsets[1:])
+    # the symbols at each input, ascending, as key - input*n of the sorted keys
+    key = np.int32 if k * n < 2**31 else np.int64
+    by_input = neighbors.astype(key)
+    by_input *= n
+    by_input += np.repeat(np.arange(n, dtype=key), residual)
+    by_input.sort()
+    by_input -= np.repeat(np.arange(k, dtype=key) * key(n), counts)
+    # the sum of each symbol's undecoded neighbours; below k**2, so no overflow
+    lone = np.add.reduceat(neighbors, offsets[:-1]) if n else np.zeros(0, dtype=np.int64)
+    first = np.full(k, n, dtype=np.int64)  # the lowest ripple symbol per input
+    marked = np.zeros(n, dtype=bool)
     rounds, removals = [], 0
     ripple = np.flatnonzero(residual == 1)
     while ripple.size:
-        lone = neighbors[_row_edges(offsets, ripple)[0]]
-        lone = lone[~decoded[lone]]  # one per ripple symbol, in ripple order
-        order = np.argsort(lone, kind="stable")
-        order = order[np.diff(lone[order], prepend=-1) != 0]  # the first symbol per input
-        inputs = lone[order]
-        rounds.append((ripple[order], inputs))
+        held = lone[ripple]
+        np.minimum.at(first, held, ripple)
+        inputs = np.sort(held[first[held] == ripple])
+        rounds.append((first[inputs], inputs))
+        first[inputs] = n
         decoded[inputs] = True
         touched = by_input[_row_edges(input_offsets, inputs)[0]]
         removals += touched.size
         np.subtract.at(residual, touched, 1)
-        ripple = np.sort(touched[residual[touched] == 1])
-        ripple = ripple[np.diff(ripple, prepend=-1) != 0]
+        np.subtract.at(lone, touched, np.repeat(inputs, counts[inputs]))
+        marked[touched[residual[touched] == 1]] = True
+        ripple = np.flatnonzero(marked)
+        marked[ripple] = False
     return decoded, rounds, residual, removals
 
 
@@ -404,10 +428,21 @@ class DecoderState:
             self.offsets, self.neighbors, self.k)
         self.decoded_count = int(self.decoded.sum())
         self.values = np.zeros((self.k, self.payload_size), dtype=np.uint8)
+        if not rounds:
+            return
+        # the rows of all released symbols in one gather, sliced round by round
+        released = np.concatenate([syms for syms, _ in rounds])
+        edges, starts = _row_edges(self.offsets, released)
+        rows, payload = self.neighbors[edges], self.payload[released]
+        starts = np.append(starts, edges.size)
+        a = 0
         for syms, inputs in rounds:
-            edges, starts = _row_edges(self.offsets, syms)
-            others = np.bitwise_xor.reduceat(self.values[self.neighbors[edges]], starts, axis=0)
-            self.values[inputs] = self.payload[syms] ^ others
+            b = a + syms.size
+            first = starts[a]
+            others = np.bitwise_xor.reduceat(self.values[rows[first : starts[b]]],
+                                             starts[a:b] - first, axis=0)
+            self.values[inputs] = payload[a:b] ^ others
+            a = b
 
 
 def decode(

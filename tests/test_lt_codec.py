@@ -655,6 +655,80 @@ def test_decode_golden_counts_k10000(monkeypatch, case):
     assert z == expected[0] / 10_000
 
 
+def argsort_peel(offsets, neighbors, k):
+    """The earlier `peel`: argsort adjacency, and each ripple row gathered per round."""
+    def row_edges(offsets, rows):
+        lengths = offsets[rows + 1] - offsets[rows]
+        starts = np.cumsum(lengths) - lengths
+        return np.arange(int(lengths.sum())) + np.repeat(offsets[rows] - starts, lengths)
+
+    residual = np.diff(offsets)
+    decoded = np.zeros(k, dtype=bool)
+    by_input = np.repeat(np.arange(residual.size), residual)[np.argsort(neighbors)]
+    input_offsets = np.zeros(k + 1, dtype=np.int64)
+    input_offsets[1:] = np.cumsum(np.bincount(neighbors, minlength=k))
+    rounds, removals = [], 0
+    ripple = np.flatnonzero(residual == 1)
+    while ripple.size:
+        lone = neighbors[row_edges(offsets, ripple)]
+        lone = lone[~decoded[lone]]  # one per ripple symbol, in ripple order
+        order = np.argsort(lone, kind="stable")
+        order = order[np.diff(lone[order], prepend=-1) != 0]  # the first symbol per input
+        inputs = lone[order]
+        rounds.append((ripple[order], inputs))
+        decoded[inputs] = True
+        touched = by_input[row_edges(input_offsets, inputs)]
+        removals += touched.size
+        np.subtract.at(residual, touched, 1)
+        ripple = np.unique(touched[residual[touched] == 1])
+    return decoded, rounds, residual, removals
+
+
+# the mc_trials cells at k = 10**4 as (distribution, r), and one degree-one
+# graph with k*n >= 2**31, past the int32 packed keys
+_ROBUST = robust_soliton(10_000, 0.1, 0.5)
+PEEL_CELLS = {
+    "robust_r0.9": (_ROBUST, 10_000, 0.9),
+    "robust_r1.3": (_ROBUST, 10_000, 1.3),
+    "design0.75": (perturb(_DESIGN.distribution, 0.01), 10_000, _DESIGN.a),
+    "degree1_r0.5": (DEG1, 10_000, 0.5),
+    "degree1_int64_keys": (DEG1, 70_000, 31_000 / 70_000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEEL_CELLS))
+def test_peel_matches_argsort_peel(case):
+    dist, k, r = PEEL_CELLS[case]
+    n = round(r * k)
+    assert (k * n >= 2**31) == case.endswith("int64_keys")
+    for seed in range(3):
+        offsets, neighbors = sample_graph(dist, k, n, seed)
+        decoded, rounds, residual, removals = lt_codec.peel(offsets, neighbors, k)
+        want = argsort_peel(offsets, neighbors, k)
+        assert np.array_equal(decoded, want[0]) and decoded.any()
+        assert len(rounds) == len(want[1])
+        for (syms, inputs), (want_syms, want_inputs) in zip(rounds, want[1]):
+            assert np.array_equal(syms, want_syms) and np.array_equal(inputs, want_inputs)
+        assert np.array_equal(residual, want[2])
+        assert removals == want[3]
+
+
+@pytest.mark.parametrize("case", ["robust_r1.3", "design0.75"])
+def test_decode_k10000_recovers_three_byte_inputs(case):
+    # dozens of rounds, whose back-substitution reads one gather of the
+    # released rows, sliced round by round
+    dist, k, r = PEEL_CELLS[case]
+    inputs = golden_inputs(k, 3, 7)
+    symbols = encode(inputs, dist, round(r * k), rng_seed=11)
+    state = DecoderState(symbols, k)
+    state.run()
+    rounds = lt_codec.peel(symbols.offsets, symbols.neighbors, k)[1]
+    assert len(rounds) >= 20 and state.decoded_count >= k // 2
+    values, count = decode(symbols, k)
+    assert count == state.decoded_count
+    assert all(v == inputs[i] for i, v in enumerate(values) if v is not None)
+
+
 def test_full_recovery_with_overhead():
     rng = np.random.default_rng(31)
     k = 500
