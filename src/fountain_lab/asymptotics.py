@@ -20,19 +20,35 @@ points a..b the margin is at least r * P'(a) + log(1 - b). Where that bound
 exceeds refine_tol by more than a rounding allowance (1e-11 of its two
 terms' sizes, more on supports above 45,000 degrees), the cell holds no
 point at or below refine_tol and is not evaluated. Across a cell
-log(1 - t) alone falls by more than b - a, so a cell can clear only where
-the margin exceeds its width: the cells of a chunk are bounded only after a
-chunk whose least margin did, and knife-edge scans pay nothing for the
-bound. The crossing is then bisected in batches: one peeling_margin call
-evaluates every midpoint the next six steps could visit, so a default-step
-crossing takes three calls, not seventeen. Both return the same s and the
-same weak points, bit for bit, as a full scan with scalar bisection.
+log(1 - t) alone falls by more than b - a, so this monotone bound clears a
+cell only where the margin exceeds its width: the 64-point cells of a chunk
+are bounded only after a chunk whose least margin did. Near a threshold the
+margin stays far below that (about 1e-4 over all of [0, 1) for the ideal
+soliton at r = 1). After a chunk that ends with a margin m between
+refine_tol and a cell's width, the rest of the scan is cut into Taylor
+cells of equal width kappa in -log(1 - t), with kappa^3 = (m - refine_tol)
+/ 2: second-order Taylor bounds of P' and of log(1 - t) hold the margin
+on such a cell to within about kappa^3 of its least value. The cells are
+bounded in doubling batches, and only those the bound cannot clear are
+evaluated: that ideal soliton scan evaluates 925 points, its bisection's
+included, instead of 10,189. Where the margin is about 0 (the limiting
+soliton at r = 1) no cell could clear and none is bounded. The crossing is
+then bisected in batches: one peeling_margin call evaluates every midpoint
+the next six steps could visit, so a default-step crossing takes three
+calls, not seventeen. All of this returns the same s and the same weak
+points, bit for bit, as a full scan with scalar bisection.
+check_margin_condition shares the scan and stops at the first weak point
+that settles its answer.
 
-Every P'(t) here is a call of pgf_derivative, whose one chunked evaluator
-drops the terms with t^(d-1) < e^-46 ~ 1e-20 (moving P'(t) by less than 1e-20
-times the mean degree). Its chunks hold at most 2^16 powers of t: near t = 1
-on a 10^4-degree support that is a baby-step/giant-step split, about 200
-powers per point and one 100 x 100 weight grid, not 10^4 powers per point.
+Every P'(t) the scan and the bisection evaluate is a call of
+pgf_derivative, whose one chunked evaluator drops the terms with
+t^(d-1) < e^-46 ~ 1e-20 (moving P'(t) by less than 1e-20 times the mean
+degree). Its chunks hold at most 2^16 powers of t: near t = 1 on a
+10^4-degree support that is a baby-step/giant-step split, about 200 powers
+per point and one 100 x 100 weight grid, not 10^4 powers per point. The
+Taylor bound takes P', t P'' and t^2 P''' at its cell starts from one
+stacked power sum of the same evaluator, whose dropped and flushed terms
+only lower them.
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ import math
 
 import numpy as np
 
-from .degree_dist import DegreeDistribution, pgf_derivative
+from .degree_dist import DegreeDistribution, _kept_terms, _power_sum, pgf_derivative
 
 DEFAULT_GRID_STEP = 1e-4
 DEFAULT_REFINE_TOL = 1e-9
@@ -69,12 +85,24 @@ _BOUND_SLACK = 1e-11
 # more cost points (2^steps - 1 per call)
 _TREE_LEVELS = 6
 _TREE_NODES = 2**_TREE_LEVELS - 1
+# Taylor cells (_taylor_open) are bounded in batches: 32 cells by the first
+# call, twice as many by each later one. Bounding a cell start sums three
+# rows over the whole support near t = 1, so cells stop where they would
+# span fewer than 8 grid points. One round of the benchmark's s_of_r and
+# check_margin_condition calls (one process, 2 vCPUs, one BLAS thread, 30
+# rounds interleaved with the monotone bound alone, 17.2 ms) took 11.3,
+# 10.5, 10.7 and 11.0 ms at 2, 4, 8 and 16 points (40 more rounds: 9.6 and
+# 9.5 ms at 4 and 8), and 11.4, 11.3, 10.7 and 10.8 ms at first batches of
+# 8, 16, 32 and 64 cells; at 64 the robust soliton's r = 1 scan, which
+# crosses at t = 0.10, took 0.60 ms against 0.42 ms at 32
+_TAYLOR_BATCH = 32
+_TAYLOR_MIN_SPAN = 8
 
 
 def peeling_margin(t, r: float, dist: DegreeDistribution) -> float | np.ndarray:
     """g(t) = r * P'(t) + log(1-t) for t in [0, 1)."""
     arr = np.asarray(t, dtype=np.float64)
-    if arr.size and (float(arr.min()) < 0.0 or float(arr.max()) >= 1.0):
+    if arr.size and not (float(arr.min()) >= 0.0 and float(arr.max()) < 1.0):  # also nan
         raise ValueError("t must lie in [0, 1)")
     deriv = pgf_derivative(dist, arr)
     if arr.ndim == 0:  # floats: r * P'(t) overflows to +inf, silently
@@ -140,42 +168,157 @@ def _golden_max(f, lo: float, hi: float) -> float:
     return best
 
 
+def _taylor_cells(
+    start: int, margin: float, grid_step: float, refine_tol: float, n_pts: int
+) -> np.ndarray | None:
+    """Bounds (grid indices) of the Taylor cells from index start on, or None.
+
+    The cells have equal width kappa in -log(1 - t), hold at most
+    _SCAN_CHUNK points each, and stop where they would span fewer than
+    _TAYLOR_MIN_SPAN grid points (kappa (1 - t) < _TAYLOR_MIN_SPAN *
+    grid_step); None where no cell would span that many. Their bound falls
+    short of the margin by about kappa^3 (_taylor_open), so kappa^3 is half
+    of margin - refine_tol, margin being the last one the scan saw.
+    """
+    kappa = math.cbrt(0.5 * (margin - refine_tol))
+    x0 = -math.log1p(-start * grid_step)
+    x_end = -math.log1p(-(n_pts - 1) * grid_step)
+    x1 = min(math.log(kappa / (_TAYLOR_MIN_SPAN * grid_step)), x_end)
+    if x1 <= x0:
+        return None
+    j = np.arange(math.floor(x0 / kappa) + 1, math.floor(x1 / kappa) + 1)
+    ends = np.ceil(-np.expm1(-kappa * j) / grid_step).astype(np.int64)
+    ends = ends[(ends > start) & (ends < n_pts)]
+    if not ends.size or ends[-1] - start < _TAYLOR_MIN_SPAN:
+        return None
+    return np.union1d(ends, np.arange(start, ends[-1], _SCAN_CHUNK))
+
+
+def _taylor_open(
+    r: float,
+    dist: DegreeDistribution,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    grid_step: float,
+    refine_tol: float,
+    slack: float,
+) -> np.ndarray:
+    """Whether each cell of grid points lo..hi-1 may hold a margin at or below refine_tol.
+
+    On the cell [a, b], with u = t - a, P' has nonnegative coefficients, so
+    r P'(t) >= r P'(a) + r P''(a) u + r P'''(a) u^2 / 2, and
+    log(1 - t) >= log(1 - a) - u / (1 - a) - u^2 / (2 (1 - b)^2): the margin
+    is at least c0 + c1 u + c2 u^2. A cell is clear where the least value of
+    that quadratic on [0, b - a], or the monotone bound r P'(a) + log(1 - b),
+    exceeds refine_tol by more than the rounding allowance of its terms'
+    sizes. The three sums share one power table of the cell starts (a > 0);
+    its flushed powers only lower them.
+    """
+    a, b = lo * grid_step, (hi - 1) * grid_step
+    # r P'(a), r a P''(a) and r a^2 P'''(a): weights w, w e and w e (e - 1)
+    # over t^e, for the terms _power_sum keeps at the largest a
+    e, w = dist._derivative_terms
+    cols = _kept_terms(e, float(a[-1]))
+    e, w = e[:cols], w[:cols]
+    rows = np.empty((3, cols))  # in place: np.stack of the products took 6x as long
+    rows[0] = w
+    np.multiply(w, e, out=rows[1])
+    np.multiply(rows[1], e - 1, out=rows[2])
+    d1, d2, d3 = r * _power_sum(e, rows, a)
+    d2, d3 = d2 / a, d3 / (a * a)
+    log_a, log_b = np.log1p(-a), np.log1p(-b)
+    inv_a, inv_b2 = 1.0 / (1.0 - a), 1.0 / (1.0 - b) ** 2
+    h = b - a
+    c0, c1, c2 = d1 + log_a, d2 - inv_a, 0.5 * (d3 - inv_b2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the least value on [0, h] lies at an end, or at the vertex -c1 / (2 c2)
+        inside = (c2 > 0.0) & (c1 < 0.0) & (c1 > -2.0 * c2 * h)
+        vertex = np.where(inside, c0 - 0.25 * c1 * c1 / c2, np.inf)
+    least = np.minimum(np.minimum(c0, c0 + (c1 + c2 * h) * h), vertex)
+    size = d1 - log_a + (d2 + inv_a) * h + 0.5 * (d3 + inv_b2) * h * h
+    clear = least > refine_tol + slack * size
+    clear |= d1 + log_b > refine_tol + slack * (d1 - log_b)
+    return ~clear
+
+
 def _crossing(
-    r: float, dist: DegreeDistribution, grid_step: float, refine_tol: float
+    r: float, dist: DegreeDistribution, grid_step: float, refine_tol: float, settle: bool = False
 ) -> tuple[float, np.ndarray]:
-    """s(r, P), and the grid points below it where the margin is at most refine_tol."""
+    """s(r, P), and the grid points below it where the margin is at most refine_tol.
+
+    With settle, the scan stops at its first weak point t_w > 0 that lies
+    more than two grid steps below L * grid_step, where no grid point up to
+    index L has a margin below -refine_tol, and returns L * grid_step, which
+    is at most s, in place of s: check_margin_condition's answer is then
+    settled.
+    """
     if r < 0.0 or not math.isfinite(r):
         raise ValueError(f"r must be finite and >= 0, got {r!r}")
     validate_grid(grid_step, refine_tol)
 
     n_pts = int(round(1.0 / grid_step))
     weak, hit = [], None
-    bounding = False  # whether this chunk's cells are bounded before evaluation
+    first_weak = math.inf  # least weak point above 0, tracked with settle
+    bounding = False  # whether the next chunk's cells are bounded before evaluation
     slack = max(_BOUND_SLACK, dist.degree_array.size * np.finfo(float).eps)
+    start = 0  # first grid index of the next chunk
+    cells = None  # bounds of the Taylor cells not yet bounded
+    pending = np.empty(0, dtype=np.int64)  # points of open Taylor cells
     with np.errstate(over="ignore"):  # as in peeling_margin
-        for start in range(0, n_pts, _SCAN_CHUNK):
-            idx = np.arange(start, min(start + _SCAN_CHUNK, n_pts))
-            if bounding:
-                # P' is nondecreasing, so r P'(a) + log(1 - b) bounds the
-                # margin from below on the cell of grid points a..b
-                firsts = idx[::_CELL]
-                head = r * pgf_derivative(dist, firsts * grid_step)  # >= 0
-                tail = np.log1p(-np.minimum(firsts + (_CELL - 1), idx[-1]) * grid_step)  # < 0
-                open_cells = head + tail <= refine_tol + slack * (head - tail)
-                n_open = np.count_nonzero(open_cells)
-                if n_open == 0:
-                    continue
-                if n_open < open_cells.size:
-                    idx = idx[np.repeat(open_cells, _CELL)[: idx.size]]
+        while True:
+            taylor = pending.size > 0
+            if taylor:
+                idx, pending = pending[:_SCAN_CHUNK], pending[_SCAN_CHUNK:]
+            elif cells is not None:
+                lo, hi = cells[:-1][:batch], cells[1:][:batch]
+                cells = cells[batch:] if cells.size > batch + 1 else None
+                batch *= 2
+                keep = _taylor_open(r, dist, lo, hi, grid_step, refine_tol, slack)
+                lo, hi = lo[keep], hi[keep]
+                widths = hi - lo
+                starts = np.repeat(lo - np.cumsum(widths) + widths, widths)
+                pending = starts + np.arange(widths.sum())
+                continue
+            elif start < n_pts:
+                idx = np.arange(start, min(start + _SCAN_CHUNK, n_pts))
+                start += _SCAN_CHUNK
+                if bounding:
+                    # P' is nondecreasing, so r P'(a) + log(1 - b) bounds the
+                    # margin from below on the cell of grid points a..b
+                    firsts = idx[::_CELL]
+                    head = r * pgf_derivative(dist, firsts * grid_step)  # >= 0
+                    tail = np.log1p(-np.minimum(firsts + (_CELL - 1), idx[-1]) * grid_step)  # < 0
+                    open_cells = head + tail <= refine_tol + slack * (head - tail)
+                    n_open = np.count_nonzero(open_cells)
+                    if n_open == 0:
+                        continue
+                    if n_open < open_cells.size:
+                        idx = idx[np.repeat(open_cells, _CELL)[: idx.size]]
+            else:
+                break
             ts = idx * grid_step
             vals = r * pgf_derivative(dist, ts) + np.log1p(-ts)
             bad = np.flatnonzero(vals < -refine_tol)
             end = int(bad[0]) if bad.size else ts.size
             weak.append(ts[:end][vals[:end] <= refine_tol])
+            if settle and math.isinf(first_weak) and weak[-1].size:
+                first_weak = float(np.min(weak[-1], where=weak[-1] > 0.0, initial=math.inf))
+            # no grid point up to index last has a margin below -refine_tol
+            last = int(idx[end]) - 1 if bad.size else int(idx[-1])
+            if first_weak < last * grid_step - 2.0 * grid_step:
+                return last * grid_step, np.concatenate(weak)
             if bad.size:
-                hit = int(idx[end])
+                hit = last + 1
                 break
-            bounding = float(vals.min()) > _CELL * grid_step
+            if not taylor:
+                # the monotone bound clears cells where the margin exceeds
+                # their width; below that, while it exceeds refine_tol,
+                # Taylor cells bound the rest of the scan
+                bounding = float(vals.min()) > _CELL * grid_step
+                if refine_tol < vals[-1] <= _CELL * grid_step and start < n_pts:
+                    cells = _taylor_cells(start, float(vals[-1]), grid_step, refine_tol, n_pts)
+                    if cells is not None:
+                        start, batch = int(cells[-1]), _TAYLOR_BATCH
     weak = np.concatenate(weak)
     if hit is None:
         return 1.0, weak
@@ -217,9 +360,11 @@ def s_of_r(
     negative.
 
     The scan leaves out the 64-point cells whose monotone lower bound
-    r * P'(first point) + log(1 - last point) clears refine_tol, and the
-    bisection evaluates the 63 midpoints of its next six steps in one call
-    (module docstring). Neither changes the result.
+    r * P'(first point) + log(1 - last point) clears refine_tol and, where
+    the margin is too small for that, the Taylor cells whose second-order
+    lower bound clears it; the bisection evaluates the 63 midpoints of its
+    next six steps in one call (module docstring). None of these changes
+    the result.
     """
     return _crossing(r, dist, grid_step, refine_tol)[0]
 
@@ -274,6 +419,10 @@ def check_margin_condition(
     actual decoder limit. Grid points where the margin sits within
     +-refine_tol of zero fail the check unless they are endpoints (t = 0, or
     within two grid steps of s, where the crossing itself lives).
+
+    The scan is s_of_r's, and it stops at the first weak point t_w > 0 that
+    lies more than two grid steps below a grid point the scan has passed
+    without a crossing: s lies beyond that point, so the answer is False.
     """
-    s, weak = _crossing(r, dist, grid_step, refine_tol)
+    s, weak = _crossing(r, dist, grid_step, refine_tol, settle=True)
     return not np.any((weak > 0.0) & (weak < s - 2.0 * grid_step))

@@ -35,6 +35,14 @@ _TRUNC_LOG = 46.0
 # the split path's weight grid: 512 KiB of float64
 _CHUNK_ELEMENTS = 1 << 16
 
+# a stack of weight rows is summed with its powers below e^-644 ~ 1e-280 set
+# to 0, not computed: pows that underflow, and subnormal operands, are slow.
+# Three rows of a 10^4-degree support at 320 points spread over (0, 1),
+# whose giant-step table holds 6,035 zero and 146 subnormal powers among
+# 32,000, took 1.44 ms so against 2.05 ms. Every dropped term is
+# nonnegative where the weights are, so the sums come out low, never high
+_FLUSH_LOG = -644.0
+
 
 def _check_degree(d: int) -> None:
     if not isinstance(d, int) or d < 1:
@@ -143,7 +151,19 @@ def _split(e_max: int) -> tuple[int, int]:
     return b, e_max // b
 
 
+def _flushed_powers(t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """t^e for each t (rows) and e (columns), with 0 where t^e < exp(_FLUSH_LOG)."""
+    # t = 0 maps to a log below _FLUSH_LOG, so 0^0 = 1 stays and 0^e goes
+    log_t = np.log(np.maximum(t, 1e-300))
+    if not t.size or exponents[-1] * log_t.min() > _FLUSH_LOG:
+        return np.power.outer(t, exponents)
+    keep = np.multiply.outer(log_t, exponents) > _FLUSH_LOG
+    return np.power(t[:, None], exponents, out=np.zeros(keep.shape), where=keep)
+
+
 def _dense_sum(exponents: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    if weights.ndim > 1:
+        return _flushed_powers(t, exponents) @ weights.T
     return np.power.outer(t, exponents) @ weights
 
 
@@ -153,14 +173,21 @@ def _split_sum(exponents: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.
     With e = q*b + r the weights go into a (q_max + 1) x b grid W, and each
     point's sum is (t^(b*q) @ W) . t^r. Both power tables come straight from
     t, not from repeated products, so each term is a product of two
-    correctly rounded powers.
+    correctly rounded powers. A stack of k weight rows shares both tables,
+    with a grid per row: one (q_max + 1) x (k * b) grid was 10-25 % slower
+    for three rows of 10^4 degrees.
     """
     b, q_max = _split(int(exponents[-1]))
     cells = (q_max + 1) * b
-    grid = np.bincount(exponents, weights, cells).reshape(q_max + 1, b)
-    out = np.power.outer(t, np.arange(0, cells, b)) @ grid
-    out *= np.power.outer(t, np.arange(b))
-    return out.sum(axis=1)
+    if weights.ndim == 1:
+        grid = np.bincount(exponents, weights, cells).reshape(q_max + 1, b)
+        out = np.power.outer(t, np.arange(0, cells, b)) @ grid
+        out *= np.power.outer(t, np.arange(b))
+        return out.sum(axis=1)
+    giant = _flushed_powers(t, np.arange(0, cells, b))
+    baby = _flushed_powers(t, np.arange(b))
+    grids = (np.bincount(exponents, w, cells).reshape(q_max + 1, b) for w in weights)
+    return np.stack([((giant @ grid) * baby).sum(axis=1) for grid in grids], axis=1)
 
 
 def _plan(exponents: np.ndarray, points: int) -> tuple[int, Callable]:
@@ -196,6 +223,10 @@ def _power_sum(exponents: np.ndarray, weights: np.ndarray, t) -> float | np.ndar
     point instead of one per exponent, plus its weight grid. Each chunk
     drops the exponents e with t_max^e < exp(-_TRUNC_LOG), t_max its own
     largest t, so it holds no more than planned. Ascending t truncate best.
+
+    weights may also be a k x len(exponents) stack of rows: the k sums then
+    share the power tables, come back as a (k, *t.shape) array, and drop the
+    powers below exp(_FLUSH_LOG) besides. Only a lower bound may use them.
     """
     arr = np.asarray(t, dtype=np.float64)
     flat = arr.ravel()
@@ -203,18 +234,20 @@ def _power_sum(exponents: np.ndarray, weights: np.ndarray, t) -> float | np.ndar
         t_min, t_max = float(flat.min()), float(flat.max())
     else:
         t_min = t_max = float(flat[0]) if flat.size else 0.0
-    if t_min < 0.0 or t_max > 1.0:
+    if not (t_min >= 0.0 and t_max <= 1.0):  # also rejects nan
         raise ValueError("t must lie in [0, 1]")
     cols = _kept_terms(exponents, t_max)
     rows, chunk_sum = _plan(exponents[:cols], flat.size)
     if flat.size <= rows:
-        out = chunk_sum(exponents[:cols], weights[:cols], flat)
+        out = chunk_sum(exponents[:cols], weights[..., :cols], flat)
     else:
-        out = np.empty(flat.size)
+        out = np.empty((flat.size,) + weights.shape[:-1])
         for i in range(0, flat.size, rows):
             chunk = flat[i : i + rows]
             cols = _kept_terms(exponents, float(chunk.max()))
-            out[i : i + rows] = chunk_sum(exponents[:cols], weights[:cols], chunk)
+            out[i : i + rows] = chunk_sum(exponents[:cols], weights[..., :cols], chunk)
+    if weights.ndim > 1:
+        return out.T.reshape(weights.shape[:1] + arr.shape)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -43,6 +43,12 @@ def test_margin_formula():
         peeling_margin(1.0, 1.0, DEG2)
 
 
+@pytest.mark.parametrize("t", [math.nan, [0.2, math.nan], [math.nan]])
+def test_margin_rejects_nan(t):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        peeling_margin(t, 1.0, ideal_soliton(100))
+
+
 def test_s_of_r_degree1_at_log2():
     s = s_of_r(math.log(2.0), DEG1)
     assert s == pytest.approx(0.5, abs=1e-8)
@@ -373,8 +379,9 @@ def test_cell_bound_skips_clear_stretches(margin_calls):
 
 
 def test_cell_bound_gate_holds_on_knife_edge(margin_calls):
-    # the margin sits near 1e-4, below a cell's width: every chunk is
-    # evaluated whole, and no cell's first point is evaluated apart
+    # the margin is about 0 (-8.9e-16 at t = 0.99), below a cell's width and
+    # below refine_tol: every chunk is evaluated whole, no cell's first point
+    # is evaluated apart, and no Taylor cell is opened
     assert s_of_r(1.0, limiting_soliton(BIG_K)) == 1.0
     assert margin_calls["pgf"] == [512] * 19 + [272]
 
@@ -391,3 +398,131 @@ def test_default_step_crossing_takes_three_margin_calls(margin_calls):
         margin_calls["margin"] = 0
         assert s_of_r(r, dist) < 1.0
         assert margin_calls["margin"] <= 3
+
+
+def test_margin_condition_stops_at_first_weak_point(margin_calls):
+    # the margin is about 0 from t = 1e-4 on, so the first chunk settles it
+    assert check_margin_condition(1.0, limiting_soliton(BIG_K)) is False
+    assert margin_calls["pgf"] == [512]
+
+
+def test_taylor_cells_skip_knife_edge_scan(margin_calls):
+    # the margin stays near 1e-4 up to the crossing at 0.99929: the monotone
+    # bound clears no cell there, and the full scan evaluates 10^4 points
+    assert s_of_r(1.0, ideal_soliton(BIG_K)) == pytest.approx(0.999287446975708, rel=1e-12)
+    assert sum(margin_calls["pgf"]) < 1_500
+
+
+# --- Taylor cells near the threshold, and the early answer of check_margin_condition ---
+
+
+def knife_edge_cases(big_dists):
+    """The ideal soliton at r in {0.99, 1, 1.01} and both truncated designs at r = a."""
+    cases = [(r, big_dists["ideal"]) for r in (0.99, 1.0, 1.01)]
+    for z in (0.75, 0.9):
+        design = truncated_soliton(z)
+        cases.append((design.a, design.distribution))
+    return cases
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-4])
+def test_crossing_matches_reference_on_knife_edges(big_dists, grid_step):
+    for r, dist in knife_edge_cases(big_dists):
+        assert_crossing_matches_reference(r, dist, grid_step)
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-4])
+def test_margin_condition_matches_reference(big_dists, grid_step):
+    design = truncated_soliton(0.75)
+    limiting = limiting_soliton(BIG_K)
+    cases = knife_edge_cases(big_dists) + [
+        # the benchmark's margin cells
+        (0.9, big_dists["robust"]),
+        (1.2, big_dists["heavy"]),
+        (1.0, big_dists["ideal"]),
+        (1.0, limiting),
+        (design.a, design.distribution),
+        # weak points from t = 1e-4 on, then a crossing near t = 0.01
+        (1.0 - 1e-7, limiting),
+    ]
+    for r, dist in cases:
+        s, weak = reference_crossing(r, dist, grid_step, 1e-9)
+        expected = not np.any((weak > 0.0) & (weak < s - 2.0 * grid_step))
+        assert check_margin_condition(r, dist, grid_step) is expected, (r, dist.label)
+
+
+@pytest.fixture
+def taylor_batches(monkeypatch):
+    """Each batch of Taylor cells a scan bounds, with the cells left open."""
+    seen = []
+
+    def spy(r, dist, lo, hi, grid_step, refine_tol, slack, inner=asymptotics._taylor_open):
+        keep = inner(r, dist, lo, hi, grid_step, refine_tol, slack)
+        seen.append((r, dist, lo, hi, grid_step, refine_tol, keep))
+        return keep
+
+    monkeypatch.setattr(asymptotics, "_taylor_open", spy)
+    return seen
+
+
+def test_taylor_cells_skip_only_clear_cells(big_dists, taylor_batches):
+    cases = [(r, dist) for dist in big_dists.values() for r in (0.99, 1.0, 1.01)]
+    for seed in range(6):
+        dist = random_distribution(np.random.default_rng(seed))
+        for z in (0.3, 0.6, 0.9):
+            # at r_of_z the margin touches 0 near its peak
+            rate = r_of_z(z, dist)
+            if math.isfinite(rate):
+                cases += [(rate, dist), (rate * 1.001, dist)]
+    for r, dist in cases:
+        for grid_step in (1e-3, 1e-4):
+            _crossing(r, dist, grid_step, 1e-9)
+    skipped = 0
+    for r, dist, lo, hi, grid_step, refine_tol, keep in taylor_batches:
+        # every grid point of every skipped cell, evaluated
+        widths = hi[~keep] - lo[~keep]
+        starts = np.repeat(lo[~keep] - np.cumsum(widths) + widths, widths)
+        ts = (starts + np.arange(widths.sum())) * grid_step
+        assert np.all(peeling_margin(ts, r, dist) > refine_tol), (r, dist.label)
+        skipped += widths.size
+    assert skipped > 1_000
+
+
+def test_taylor_bound_lies_below_every_grid_margin():
+    # with refine_tol set to each cell's least margin on the grid, a sound
+    # lower bound cannot clear the cell: every cell must stay open
+    rng = np.random.default_rng(11)
+    dip, dip_rate = dip_distribution()
+    cases = [(dip_rate, dip), (1.0, ideal_soliton(1_000)), (0.9, DEG2)]
+    for seed in range(8):
+        dist = random_distribution(np.random.default_rng(seed))
+        cases += [(float(r), dist) for r in rng.uniform(0.2, 2.0, 3)]
+    for r, dist in cases:
+        lo = np.sort(rng.integers(1, 9_000, 60))
+        hi = lo + rng.integers(2, 512, 60)
+        least = np.array([np.min(peeling_margin(np.arange(a, b) * 1e-4, r, dist))
+                          for a, b in zip(lo, hi)])
+        slack = max(asymptotics._BOUND_SLACK, dist.degree_array.size * np.finfo(float).eps)
+        keep = asymptotics._taylor_open(r, dist, lo, hi, 1e-4, least, slack)
+        assert np.all(keep), (r, dist.label)
+
+
+def test_margin_condition_keeps_weak_points_next_to_the_crossing():
+    # at grid 1e-3 and refine_tol 1e-3 the two grid points before the
+    # crossing are weak; they lie within two grid steps of s, so they pass
+    for r in (0.01, 0.015, 0.02, 0.025):
+        s, weak = reference_crossing(r, DEG1, 1e-3, 1e-3)
+        assert np.count_nonzero(weak > 0.0) == 2
+        assert check_margin_condition(r, DEG1, 1e-3, 1e-3) is True
+
+
+def test_margin_condition_waits_on_a_weak_point_at_a_chunk_end():
+    # P(1) = 0.00735, P(3) = 0.99265 at its largest grid ratio: the margin is
+    # 0 at t = 0.051 alone, grid index 510 of the first 512-point chunk. It
+    # lies within two steps of that chunk's end, so the chunk settles nothing
+    dist = DegreeDistribution.from_mapping({1: 0.00735, 3: 0.99265})
+    ts = np.arange(1, 10**4) * 1e-4
+    r = float(np.max(_rate_ratio(ts, pgf_derivative(dist, ts))))
+    s, weak = _crossing(r, dist, 1e-4, 1e-9)
+    assert s == 1.0 and weak.tolist() == [510 * 1e-4]
+    assert check_margin_condition(r, dist) is False

@@ -332,7 +332,7 @@ def test_pgf_derivative_matches_finite_difference():
             assert pgf_derivative(dist, t) == pytest.approx(fd, abs=1e-6)
 
 
-@pytest.mark.parametrize("t", [-0.1, 1.1])
+@pytest.mark.parametrize("t", [-0.1, 1.1, math.nan, [0.2, math.nan], [math.nan], [0.2, 1.1]])
 def test_pgf_range_errors(t):
     dist = ideal_soliton(4)
     with pytest.raises(ValueError):
@@ -442,6 +442,24 @@ def test_power_sum_at_zero_and_one(size, first):
         assert np.all(ends[0] == (weights[0] if first == 0 else 0.0))
         np.testing.assert_allclose(ends[1], math.fsum(weights), rtol=1e-13)
     assert degree_dist._power_sum(exponents, weights, 0.0) == (weights[0] if first == 0 else 0.0)
+
+
+@pytest.mark.parametrize("size", [40, 3000])
+def test_power_sum_stack_bounds_each_row_from_below(size):
+    # a stack of rows shares one power table (dense at 40 exponents, split
+    # at 3000) and drops the powers below e^-644: each row's sum is at most
+    # the row's own sum, less by under 1e-280 times its weights' total
+    rng = np.random.default_rng(size)
+    exponents = np.arange(size)
+    rows = rng.random((3, size))
+    ts = np.sort(np.concatenate(([0.0, 1e-300, 1e-3, 1.0], rng.random(300))))
+    got = degree_dist._power_sum(exponents, rows, ts)
+    assert got.shape == (3, ts.size)
+    for row, sums in zip(rows, got):
+        want = degree_dist._power_sum(exponents, row, ts)
+        assert np.all(sums <= want * (1.0 + 1e-13))
+        np.testing.assert_allclose(sums, want, rtol=1e-13, atol=1e-280 * row.sum())
+    assert degree_dist._power_sum(exponents, rows, 0.5).shape == (3,)
 
 
 def test_power_sum_keeps_sparse_wide_supports_dense():
