@@ -14,31 +14,26 @@ inputs (heavy-tailed soliton at r = 1) the true margin is identically ~0 and
 a plain sign test would flip on float noise. Results are therefore reported
 up to grid resolution, deterministically.
 
-The scan skips what cannot change its answer. P' has nonnegative
-coefficients, so it is nondecreasing on [0, 1), and on a cell of grid
-points a..b the margin is at least r * P'(a) + log(1 - b). Where that bound
-exceeds refine_tol by more than a rounding allowance (1e-11 of its two
-terms' sizes, more on supports above 45,000 degrees), the cell holds no
-point at or below refine_tol and is not evaluated. Across a cell
-log(1 - t) alone falls by more than b - a, so this monotone bound clears a
-cell only where the margin exceeds its width: the 64-point cells of a chunk
-are bounded only after a chunk whose least margin did. Near a threshold the
-margin stays far below that (about 1e-4 over all of [0, 1) for the ideal
-soliton at r = 1). After a chunk that ends with a margin m between
-refine_tol and a cell's width, the rest of the scan is cut into Taylor
-cells of equal width kappa in -log(1 - t), with kappa^3 = (m - refine_tol)
-/ 2: second-order Taylor bounds of P' and of log(1 - t) hold the margin
-on such a cell to within about kappa^3 of its least value. The cells are
-bounded in doubling batches, and only those the bound cannot clear are
-evaluated: that ideal soliton scan evaluates 925 points, its bisection's
-included, instead of 10,189. Where the margin is about 0 (the limiting
-soliton at r = 1) no cell could clear and none is bounded. The crossing is
-then bisected in batches: one peeling_margin call evaluates every midpoint
-the next six steps could visit, so a default-step crossing takes three
-calls, not seventeen. All of this returns the same s and the same weak
-points, bit for bit, as a full scan with scalar bisection.
-check_margin_condition shares the scan and stops at the first weak point
-that settles its answer.
+The scan skips what cannot change its answer. After a chunk that ends
+without a crossing and with a margin m above refine_tol, the rest of the
+scan is cut into Taylor cells of equal width kappa in -log(1 - t), with
+kappa^3 = (m - refine_tol) / 2 but no wider than what is left of the scan.
+P' has nonnegative coefficients, so second-order Taylor bounds of P' and
+of log(1 - t) hold the margin on such a cell to within about kappa^3 of
+its least value. Where that bound exceeds refine_tol by more than a
+rounding allowance (1e-11 of its terms' sizes, more on supports above
+45,000 degrees), the cell holds no point at or below refine_tol and is not
+evaluated. The cells are bounded in doubling batches, and only those the
+bound cannot clear are evaluated: the ideal soliton's scans evaluate 565
+points at r = 1.2 and, where the margin stays about 1e-4 over all of
+[0, 1), 925 at r = 1 (its bisection's included), instead of 10,000 and
+10,189. Where the margin is about 0 (the limiting soliton at r = 1) no
+cell could clear and none is bounded. The crossing is then bisected in
+batches: one peeling_margin call evaluates every midpoint the next six
+steps could visit, so a default-step crossing takes three calls, not
+seventeen. All of this returns the same s and the same weak points, bit
+for bit, as a full scan with scalar bisection. check_margin_condition
+shares the scan and stops at the first weak point that settles its answer.
 
 Every P'(t) the scan and the bisection evaluate is a call of
 pgf_derivative, whose one chunked evaluator drops the terms with
@@ -46,8 +41,9 @@ t^(d-1) < e^-46 ~ 1e-20 (moving P'(t) by less than 1e-20 times the mean
 degree). Its chunks hold at most 2^16 powers of t: near t = 1 on a
 10^4-degree support that is a baby-step/giant-step split, about 200 powers
 per point and one 100 x 100 weight grid, not 10^4 powers per point. The
-Taylor bound takes P', t P'' and t^2 P''' at its cell starts from one
-stacked power sum of the same evaluator, whose dropped and flushed terms
+Taylor bounds of the scan and of lp_bounds' design check take A', t A''
+and t^2 A''' at their cell starts from one stacked power sum of the same
+evaluator (degree_dist._taylor_terms), whose dropped and flushed terms
 only lower them.
 """
 
@@ -57,7 +53,7 @@ import math
 
 import numpy as np
 
-from .degree_dist import DegreeDistribution, _kept_terms, _power_sum, pgf_derivative
+from .degree_dist import DegreeDistribution, _taylor_terms, pgf_derivative
 
 DEFAULT_GRID_STEP = 1e-4
 DEFAULT_REFINE_TOL = 1e-9
@@ -69,32 +65,29 @@ MAX_GRID_POINTS = 10**6
 # the crossing
 _SCAN_CHUNK = 512
 
-# grid points per cell of the scan's lower bound. One round of the asym_scan
-# benchmark's s_of_r and check_margin_condition calls (one process, 2 vCPUs,
-# 25 rounds interleaved) took 24.7, 24.8, 25.4 and 28.8 ms at 32, 64, 128 and
-# 256 points, and evaluated 64,030, 65,542, 69,574 and 77,476 points; without
-# the bound, 34.6 ms and 132,282 points
-_CELL = 64
-# least relative allowance for rounding in that bound. A P' sum of n
-# nonnegative terms is off by at most about n * 1.1e-16 of its size, so the
-# allowance is n * 2.2e-16 where that is larger (n above 45,000); the terms
-# the evaluator drops lower P' by under 1e-20 of the mean degree
+# least relative allowance for rounding in the scan's cell bound. A P' sum
+# of n nonnegative terms is off by at most about n * 1.1e-16 of its size, so
+# the allowance is n * 2.2e-16 where that is larger (n above 45,000); the
+# terms the evaluator drops lower P' by under 1e-20 of the mean degree
 _BOUND_SLACK = 1e-11
-# bisection steps per batched peeling_margin call. The same round took 25.3,
-# 24.8, 24.8 and 31.1 ms at 3, 5, 6 and 8 steps: fewer steps cost calls,
-# more cost points (2^steps - 1 per call)
+# bisection steps per batched peeling_margin call. One round of the
+# asym_scan benchmark's s_of_r and check_margin_condition calls (one
+# process, 2 vCPUs, 25 rounds interleaved, before the scan had Taylor cells)
+# took 25.3, 24.8, 24.8 and 31.1 ms at 3, 5, 6 and 8 steps: fewer steps
+# cost calls, more cost points (2^steps - 1 per call)
 _TREE_LEVELS = 6
 _TREE_NODES = 2**_TREE_LEVELS - 1
 # Taylor cells (_taylor_open) are bounded in batches: 32 cells by the first
 # call, twice as many by each later one. Bounding a cell start sums three
 # rows over the whole support near t = 1, so cells stop where they would
-# span fewer than 8 grid points. One round of the benchmark's s_of_r and
-# check_margin_condition calls (one process, 2 vCPUs, one BLAS thread, 30
-# rounds interleaved with the monotone bound alone, 17.2 ms) took 11.3,
-# 10.5, 10.7 and 11.0 ms at 2, 4, 8 and 16 points (40 more rounds: 9.6 and
-# 9.5 ms at 4 and 8), and 11.4, 11.3, 10.7 and 10.8 ms at first batches of
-# 8, 16, 32 and 64 cells; at 64 the robust soliton's r = 1 scan, which
-# crosses at t = 0.10, took 0.60 ms against 0.42 ms at 32
+# span fewer than 8 grid points. The same round on this scan (2 vCPUs, one
+# BLAS thread, 40 rounds interleaved) took 9.5, 9.4, 9.5 and 9.6 ms at 2, 4,
+# 8 and 16 points, and 10.8, 10.1, 9.5, 9.2 and 9.0 ms at first batches of
+# 8, 16, 32, 64 and 128 cells. 32 is kept although 64 and 128 make that
+# round faster: they slow the scans that cross early, such as the robust
+# soliton's at r = 1, which crosses at t = 0.10 (0.61 ms at 64 against 0.49
+# ms at 32). The end-to-end asym_scan figures of 32, 64 and 128 are not
+# compared yet
 _TAYLOR_BATCH = 32
 _TAYLOR_MIN_SPAN = 8
 
@@ -178,11 +171,15 @@ def _taylor_cells(
     _TAYLOR_MIN_SPAN grid points (kappa (1 - t) < _TAYLOR_MIN_SPAN *
     grid_step); None where no cell would span that many. Their bound falls
     short of the margin by about kappa^3 (_taylor_open), so kappa^3 is half
-    of margin - refine_tol, margin being the last one the scan saw.
+    of margin - refine_tol, margin being the last one the scan saw. kappa is
+    at most the scan's remaining width in -log(1 - t), without which a large
+    margin would give no cell at all.
     """
-    kappa = math.cbrt(0.5 * (margin - refine_tol))
+    if n_pts - 1 - start < _TAYLOR_MIN_SPAN:
+        return None
     x0 = -math.log1p(-start * grid_step)
     x_end = -math.log1p(-(n_pts - 1) * grid_step)
+    kappa = min(math.cbrt(0.5 * (margin - refine_tol)), x_end - x0)
     x1 = min(math.log(kappa / (_TAYLOR_MIN_SPAN * grid_step)), x_end)
     if x1 <= x0:
         return None
@@ -191,7 +188,9 @@ def _taylor_cells(
     ends = ends[(ends > start) & (ends < n_pts)]
     if not ends.size or ends[-1] - start < _TAYLOR_MIN_SPAN:
         return None
-    return np.union1d(ends, np.arange(start, ends[-1], _SCAN_CHUNK))
+    # sorted and deduplicated by hand: np.union1d imports numpy.ma on first use
+    cuts = np.sort(np.concatenate((ends, np.arange(start, ends[-1], _SCAN_CHUNK))))
+    return cuts[np.diff(cuts, prepend=-1) > 0]
 
 
 def _taylor_open(
@@ -211,21 +210,10 @@ def _taylor_open(
     is at least c0 + c1 u + c2 u^2. A cell is clear where the least value of
     that quadratic on [0, b - a], or the monotone bound r P'(a) + log(1 - b),
     exceeds refine_tol by more than the rounding allowance of its terms'
-    sizes. The three sums share one power table of the cell starts (a > 0);
-    its flushed powers only lower them.
+    sizes.
     """
     a, b = lo * grid_step, (hi - 1) * grid_step
-    # r P'(a), r a P''(a) and r a^2 P'''(a): weights w, w e and w e (e - 1)
-    # over t^e, for the terms _power_sum keeps at the largest a
-    e, w = dist._derivative_terms
-    cols = _kept_terms(e, float(a[-1]))
-    e, w = e[:cols], w[:cols]
-    rows = np.empty((3, cols))  # in place: np.stack of the products took 6x as long
-    rows[0] = w
-    np.multiply(w, e, out=rows[1])
-    np.multiply(rows[1], e - 1, out=rows[2])
-    d1, d2, d3 = r * _power_sum(e, rows, a)
-    d2, d3 = d2 / a, d3 / (a * a)
+    d1, d2, d3 = (r * d for d in _taylor_terms(*dist._derivative_terms, a))
     log_a, log_b = np.log1p(-a), np.log1p(-b)
     inv_a, inv_b2 = 1.0 / (1.0 - a), 1.0 / (1.0 - b) ** 2
     h = b - a
@@ -259,7 +247,6 @@ def _crossing(
     n_pts = int(round(1.0 / grid_step))
     weak, hit = [], None
     first_weak = math.inf  # least weak point above 0, tracked with settle
-    bounding = False  # whether the next chunk's cells are bounded before evaluation
     slack = max(_BOUND_SLACK, dist.degree_array.size * np.finfo(float).eps)
     start = 0  # first grid index of the next chunk
     cells = None  # bounds of the Taylor cells not yet bounded
@@ -282,18 +269,6 @@ def _crossing(
             elif start < n_pts:
                 idx = np.arange(start, min(start + _SCAN_CHUNK, n_pts))
                 start += _SCAN_CHUNK
-                if bounding:
-                    # P' is nondecreasing, so r P'(a) + log(1 - b) bounds the
-                    # margin from below on the cell of grid points a..b
-                    firsts = idx[::_CELL]
-                    head = r * pgf_derivative(dist, firsts * grid_step)  # >= 0
-                    tail = np.log1p(-np.minimum(firsts + (_CELL - 1), idx[-1]) * grid_step)  # < 0
-                    open_cells = head + tail <= refine_tol + slack * (head - tail)
-                    n_open = np.count_nonzero(open_cells)
-                    if n_open == 0:
-                        continue
-                    if n_open < open_cells.size:
-                        idx = idx[np.repeat(open_cells, _CELL)[: idx.size]]
             else:
                 break
             ts = idx * grid_step
@@ -310,15 +285,11 @@ def _crossing(
             if bad.size:
                 hit = last + 1
                 break
-            if not taylor:
-                # the monotone bound clears cells where the margin exceeds
-                # their width; below that, while it exceeds refine_tol,
+            if not taylor and refine_tol < vals[-1] and start < n_pts:
                 # Taylor cells bound the rest of the scan
-                bounding = float(vals.min()) > _CELL * grid_step
-                if refine_tol < vals[-1] <= _CELL * grid_step and start < n_pts:
-                    cells = _taylor_cells(start, float(vals[-1]), grid_step, refine_tol, n_pts)
-                    if cells is not None:
-                        start, batch = int(cells[-1]), _TAYLOR_BATCH
+                cells = _taylor_cells(start, float(vals[-1]), grid_step, refine_tol, n_pts)
+                if cells is not None:
+                    start, batch = int(cells[-1]), _TAYLOR_BATCH
     weak = np.concatenate(weak)
     if hit is None:
         return 1.0, weak
@@ -359,11 +330,9 @@ def s_of_r(
     width refine_tol. Returns 1.0 if no grid point up to 1 - grid_step goes
     negative.
 
-    The scan leaves out the 64-point cells whose monotone lower bound
-    r * P'(first point) + log(1 - last point) clears refine_tol and, where
-    the margin is too small for that, the Taylor cells whose second-order
-    lower bound clears it; the bisection evaluates the 63 midpoints of its
-    next six steps in one call (module docstring). None of these changes
+    The scan leaves out the Taylor cells whose second-order lower bound of
+    the margin clears refine_tol; the bisection evaluates the 63 midpoints
+    of its next six steps in one call (module docstring). Neither changes
     the result.
     """
     return _crossing(r, dist, grid_step, refine_tol)[0]

@@ -262,6 +262,30 @@ def pgf_derivative(dist: DegreeDistribution, t) -> float | np.ndarray:
     return _power_sum(exponents, weights, t)
 
 
+def _taylor_terms(
+    exponents: np.ndarray, weights: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A'(a), A''(a) and A'''(a) at ascending cell starts a, A' = sum weights t^exponents.
+
+    One stacked power sum of the rows w, w e and w e (e - 1) over the terms
+    kept at the largest a gives A', a A'' and a^2 A'''; its dropped and
+    flushed powers only lower them. At a = 0, A''(0) and A'''(0) / 2 are
+    the coefficients of t and t^2.
+    """
+    cols = _kept_terms(exponents, float(a[-1]))
+    e, w = exponents[:cols], weights[:cols]
+    rows = np.empty((3, cols))  # in place: np.stack of the products took 6x as long
+    rows[0] = w
+    np.multiply(w, e, out=rows[1])
+    np.multiply(rows[1], e - 1, out=rows[2])
+    d1, d2, d3 = _power_sum(e, rows, a)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 is set below
+        d2, d3 = d2 / a, d3 / (a * a)
+    if a[0] == 0.0:
+        d2[0], d3[0] = (k * weights[exponents == k].sum() for k in (1, 2))
+    return d1, d2, d3
+
+
 def _check_max_degree(what: str, degree: float) -> None:
     if not degree <= MAX_DEGREE:
         raise ValueError(f"{what} needs degree {degree:g}, above MAX_DEGREE = {MAX_DEGREE}")

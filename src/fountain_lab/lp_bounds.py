@@ -16,7 +16,9 @@ brackets the least achievable rate r(z) over all degree distributions:
   with a(i) = y(i)/i and A(t) = sum a(i) t^i. That design is inflated by
   an upper bound on -log(1-t)/A'(t) over all of (0, z], proved cell by cell
   in closed form from a Taylor bound of each side, so the reported rate is
-  achievable on the continuum, not just on the grid.
+  achievable on the continuum, not just on the grid. A', A'' and A''' at
+  the cell starts come from one stacked power sum, by the evaluator of the
+  asymptotic scan's Taylor cells.
 
 The LP is solved by column generation, an exchange method for the
 semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import CSV_FLOAT
 from .asymptotics import _BOUND_SLACK, _grid_closed
-from .degree_dist import DegreeDistribution, _power_sum, max_useful_degree
+from .degree_dist import DegreeDistribution, _power_sum, _taylor_terms, max_useful_degree
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
@@ -320,12 +322,13 @@ def _worst_ratio(z: float, y: np.ndarray) -> float:
         -log(1 - t) <= -log(1 - a) + u / (1 - a) + u^2 / (2 (1 - b)^2) = U(u).
     The derivative of U/L vanishes at the roots of a quadratic (the cubic
     terms cancel), so the largest U/L on [0, b - a] lies at an end or at one
-    of those roots: a closed form for all cells at once, from three power
-    sums at the cell starts. The maximum over the cells, inflated by the
-    rounding allowance of asymptotics' scan bound, bounds the ratio on all
-    of (0, z]. Where A'(0) = 0 the first cell's ratio is
-    (U(u)/u) / (L(u)/u), monotone in u, with the value 1/A''(0) at t -> 0+;
-    it is inf if A''(0) = 0 too, as it is without any nonzero y(i).
+    of those roots: a closed form for all cells at once, from A', A'' and
+    A''' at the cell starts (degree_dist._taylor_terms, one stacked power
+    sum). The maximum over the cells, inflated by the rounding allowance of
+    asymptotics' scan bound, bounds the ratio on all of (0, z]. Where
+    A'(0) = 0 the first cell's ratio is (U(u)/u) / (L(u)/u), monotone in u,
+    with the value 1/A''(0) at t -> 0+; it is inf if A''(0) = 0 too, as it
+    is without any nonzero y(i).
     """
     priced = np.flatnonzero(y)
     if not priced.size:
@@ -333,13 +336,10 @@ def _worst_ratio(z: float, y: np.ndarray) -> float:
     ends = -np.expm1(-_CELL_WIDTH * np.arange(math.ceil(-math.log1p(-z) / _CELL_WIDTH)))
     ends = np.append(ends[ends < z], z)
     a, b = ends[:-1], ends[1:]
-    # A', A'' and A''' at the cell starts. _power_sum drops only nonnegative
-    # terms, so each comes out low, which only raises U/L: the safe side
-    coef, taylor = y[priced], []
-    for k in range(3):
-        taylor.append(_power_sum(np.maximum(priced - k, 0), coef, a))
-        coef = coef * (priced - k)
-    l0, l1, l2 = taylor[0], taylor[1], 0.5 * taylor[2]
+    # A', A'' and A''' at the cell starts. The terms _power_sum drops are
+    # nonnegative, so they come out low, which only raises U/L: the safe side
+    l0, l1, l2 = _taylor_terms(priced, y[priced], a)
+    l2 = 0.5 * l2
     u0, u1, u2 = -np.log1p(-a), 1.0 / (1.0 - a), 0.5 / (1.0 - b) ** 2
     # (U/L)' = 0 where c2 u^2 + c1 u + c0 = 0, at q / c2 and c0 / q below
     c0, c1, c2 = u1 * l0 - u0 * l1, 2.0 * (u2 * l0 - u0 * l2), u2 * l1 - u1 * l2

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,8 +305,8 @@ def dip_distribution():
     """P(1) = P(40) = 1/2 and the rate at which the grid's least margin is 0.
 
     The margin falls to 0 at t = 0.8539, on the 1e-4 grid, and rises again
-    within the same 64-point cell; the chunk before stays far above a
-    cell's width, so the dip's chunk is bounded.
+    within a few grid steps; the first chunk ends far above refine_tol, so
+    the Taylor cells up to the dip are bounded.
     """
     dist = DegreeDistribution.from_mapping({1: 0.5, 40: 0.5})
     ts = np.arange(1, 10**4) * 1e-4
@@ -379,9 +383,8 @@ def test_cell_bound_skips_clear_stretches(margin_calls):
 
 
 def test_cell_bound_gate_holds_on_knife_edge(margin_calls):
-    # the margin is about 0 (-8.9e-16 at t = 0.99), below a cell's width and
-    # below refine_tol: every chunk is evaluated whole, no cell's first point
-    # is evaluated apart, and no Taylor cell is opened
+    # the margin is about 0 (-8.9e-16 at t = 0.99), below refine_tol: every
+    # chunk is evaluated whole, and no Taylor cell is bounded
     assert s_of_r(1.0, limiting_soliton(BIG_K)) == 1.0
     assert margin_calls["pgf"] == [512] * 19 + [272]
 
@@ -407,10 +410,48 @@ def test_margin_condition_stops_at_first_weak_point(margin_calls):
 
 
 def test_taylor_cells_skip_knife_edge_scan(margin_calls):
-    # the margin stays near 1e-4 up to the crossing at 0.99929: the monotone
-    # bound clears no cell there, and the full scan evaluates 10^4 points
+    # the margin stays near 1e-4 up to the crossing at 0.99929, so Taylor
+    # cells stay narrow; the full scan evaluates 10^4 points
     assert s_of_r(1.0, ideal_soliton(BIG_K)) == pytest.approx(0.999287446975708, rel=1e-12)
     assert sum(margin_calls["pgf"]) < 1_500
+
+
+def test_taylor_cells_span_the_rest_of_a_wide_margin_scan(margin_calls):
+    # a margin of about 10^6 would allow cells far wider than the 9.2 left
+    # of the scan in -log(1 - t): the cells cover all of it, where the full
+    # scan evaluates 10^4 points
+    for dist in (ideal_soliton(BIG_K), DEG1):
+        margin_calls["pgf"] = []
+        assert s_of_r(1e6, dist) == 1.0
+        assert sum(margin_calls["pgf"]) <= 600, dist.label
+
+
+def test_taylor_cells_near_the_grid_end():
+    # on 513 points the first chunk ends at index 511 with a wide margin,
+    # and one grid point is left: too few for a Taylor cell
+    assert s_of_r(10.0, DEG1, grid_step=1 / 513) == 1.0
+    for n_pts in (513, 514, 520, 1025, 1031):
+        for dist in (DEG1, ideal_soliton(100)):
+            for r in (2.0, 10.0, 1e6):
+                assert_crossing_matches_reference(r, dist, 1.0 / n_pts)
+
+
+def test_taylor_cells_leave_numpy_ma_unimported():
+    # np.union1d imports numpy.ma on first use, some milliseconds of a
+    # process's first knife-edge scan
+    code = (
+        "import sys\n"
+        "from fountain_lab import ideal_soliton, s_of_r\n"
+        "s_of_r(1.0, ideal_soliton(10**4))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    # the child imports the same fountain_lab as this process
+    src = str(Path(asymptotics.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --- Taylor cells near the threshold, and the early answer of check_margin_condition ---

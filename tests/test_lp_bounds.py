@@ -15,7 +15,7 @@ from fountain_lab import (
     primal_min_r,
     truncated_soliton,
 )
-from fountain_lab import lp_bounds
+from fountain_lab import degree_dist, lp_bounds
 from fountain_lab.degree_dist import _power_sum
 from fountain_lab.asymptotics import _rate_ratio
 from fountain_lab.lp_bounds import (
@@ -384,8 +384,9 @@ def test_column_generation_prices_hold_on_the_whole_grid():
     *((z, 1e-3) for z in (0.7, 0.8, 0.9, 0.95, 0.99, 0.995)), (0.98, 5e-3),
 ])
 def test_design_check_over_the_nonzero_prices_matches_all_rows(monkeypatch, z, step):
-    # the check sums A', A'' and A''' over the nonzero prices only; at every
-    # point it looks at, each sum is the one over all m rows, zeros included
+    # the check sums A', t A'' and t^2 A''' over the nonzero prices only, in
+    # one stacked call at all its cell starts; at each start, each sum is the
+    # one over all m rows, zeros included
     y = np.clip(_solve_moment_lp(z, step)[3], 0.0, None)
     priced = np.flatnonzero(y)
     assert priced.size
@@ -396,14 +397,18 @@ def test_design_check_over_the_nonzero_prices_matches_all_rows(monkeypatch, z, s
         seen.append((exponents, weights, t, out))
         return out
 
-    monkeypatch.setattr(lp_bounds, "_power_sum", spy)
+    monkeypatch.setattr(degree_dist, "_power_sum", spy)
     _worst_ratio(z, y)
-    assert len(seen) == 3
-    for exponents, weights, t, out in seen:
-        assert exponents.size == priced.size
-        rows = np.zeros(y.size)
-        np.add.at(rows, exponents, weights)
-        assert np.allclose(out, _power_sum(np.arange(y.size), rows, t), rtol=1e-14, atol=0.0)
+    assert len(seen) == 1
+    exponents, weights, t, out = seen[0]
+    assert exponents.size == priced.size and weights.shape == (3, priced.size)
+    # the starts of cells of equal width in -log(1 - t), from 0 to below z
+    assert t[0] == 0.0 and np.allclose(np.diff(-np.log1p(-t)), lp_bounds._CELL_WIDTH)
+    assert -math.log1p(-z) - lp_bounds._CELL_WIDTH <= -math.log1p(-t[-1]) < -math.log1p(-z)
+    rows = np.zeros((3, y.size))
+    for row, w in zip(rows, weights):
+        np.add.at(row, exponents, w)
+    assert np.allclose(out, _power_sum(np.arange(y.size), rows, t), rtol=1e-14, atol=0.0)
 
 
 def dense_max_ratio(z, y):
@@ -449,6 +454,9 @@ def test_design_check_near_zero():
     # without degree 1 the ratio tends to 1/A''(0) as t -> 0+, here its
     # supremum, and without degree 2 as well it diverges there
     assert 0.5 <= _worst_ratio(0.01, np.array([0.0, 2.0, 3.0])) <= 0.5 * (1.0 + 1e-8)
+    # one cell, whose start t = 0 keeps only the constant term of A'; A''(0)
+    # and A'''(0) still come from the terms in t and t^2
+    assert _worst_ratio(5e-4, np.array([0.0, 2.0, 3.0])) == 0.500000000005
     assert _worst_ratio(0.9, np.array([0.0, 0.0, 3.0])) == math.inf
 
 
@@ -461,9 +469,9 @@ def test_design_check_evaluates_in_a_few_batches(monkeypatch):
         calls.append(args[2].size)
         return _power_sum(*args)
 
-    monkeypatch.setattr(lp_bounds, "_power_sum", counted)
+    monkeypatch.setattr(degree_dist, "_power_sum", counted)
     _worst_ratio(0.95, y)
-    assert len(calls) == 3, calls
+    assert calls == [math.ceil(-math.log1p(-0.95) / lp_bounds._CELL_WIDTH)]
 
 
 def test_design_from_all_zero_prices_is_refused(monkeypatch):
