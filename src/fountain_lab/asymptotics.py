@@ -18,22 +18,25 @@ The scan skips what cannot change its answer. After a chunk that ends
 without a crossing and with a margin m above refine_tol, the rest of the
 scan is cut into Taylor cells of equal width kappa in -log(1 - t), with
 kappa^3 = (m - refine_tol) / 2 but no wider than what is left of the scan.
-P' has nonnegative coefficients, so second-order Taylor bounds of P' and
-of log(1 - t) hold the margin on such a cell to within about kappa^3 of
-its least value. Where that bound exceeds refine_tol by more than a
-rounding allowance (1e-11 of its terms' sizes, more on supports above
-45,000 degrees), the cell holds no point at or below refine_tol and is not
-evaluated. The cells are bounded in doubling batches, and only those the
-bound cannot clear are evaluated: the ideal soliton's scans evaluate 565
-points at r = 1.2 and, where the margin stays about 1e-4 over all of
-[0, 1), 925 at r = 1 (its bisection's included), instead of 10,000 and
-10,189. Where the margin is about 0 (the limiting soliton at r = 1) no
-cell could clear and none is bounded. The crossing is then bisected in
-batches: one peeling_margin call evaluates every midpoint the next six
-steps could visit, so a default-step crossing takes three calls, not
-seventeen. All of this returns the same s and the same weak points, bit
-for bit, as a full scan with scalar bisection. check_margin_condition
-shares the scan and stops at the first weak point that settles its answer.
+The margin exceeds refine_tol exactly where r exceeds the ratio
+(refine_tol - log(1 - t)) / P'(t), whose supremum at refine_tol = 0 is
+r_of_z. _ratio_bound, which also certifies lp_bounds' design, bounds that
+ratio on a cell from above in closed form, to within about kappa^3, by
+second-order Taylor bounds of P' (nonnegative coefficients) and of
+log(1 - t). A cell where r exceeds the bound holds no point at or below
+refine_tol and is not evaluated. The cells are bounded in doubling batches, and only those the bound cannot clear are evaluated: the
+ideal soliton's scans evaluate 565 points at r = 1.2 and, where the margin
+stays about 1e-4 over all of [0, 1), 925 at r = 1 (its bisection's
+included), instead of 10,000 and 10,189. Where the margin is about 0 (the
+limiting soliton at r = 1) no cell could clear and none is bounded. The
+crossing is then bisected in batches: one peeling_margin call evaluates
+every midpoint the next six steps could visit, so a default-step crossing
+takes three calls, not seventeen. At the default refine_tol all of this
+returns the same s and weak points, bit for bit, as a full scan with
+scalar bisection; at refine_tol 1e-12, 18 of 71,446 knife-edge rates tried
+give an s off by less than refine_tol (a point's margin and a batch's
+differ in the last bit). check_margin_condition shares the scan and stops
+at the first weak point that settles its answer.
 
 Every P'(t) the scan and the bisection evaluate is a call of
 pgf_derivative, whose one chunked evaluator drops the terms with
@@ -41,10 +44,9 @@ t^(d-1) < e^-46 ~ 1e-20 (moving P'(t) by less than 1e-20 times the mean
 degree). Its chunks hold at most 2^16 powers of t: near t = 1 on a
 10^4-degree support that is a baby-step/giant-step split, about 200 powers
 per point and one 100 x 100 weight grid, not 10^4 powers per point. The
-Taylor bounds of the scan and of lp_bounds' design check take A', t A''
-and t^2 A''' at their cell starts from one stacked power sum of the same
-evaluator (degree_dist._taylor_terms), whose dropped and flushed terms
-only lower them.
+cell bound takes A', t A'' and t^2 A''' at its cell starts from one
+stacked power sum of the same evaluator (degree_dist._taylor_terms), whose
+dropped and flushed terms only lower them.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ MAX_GRID_POINTS = 10**6
 # the crossing
 _SCAN_CHUNK = 512
 
-# least relative allowance for rounding in the scan's cell bound. A P' sum
-# of n nonnegative terms is off by at most about n * 1.1e-16 of its size, so
-# the allowance is n * 2.2e-16 where that is larger (n above 45,000); the
-# terms the evaluator drops lower P' by under 1e-20 of the mean degree
+# least relative allowance for rounding in the cell bound (_ratio_bound). A
+# sum of n nonnegative terms is off by at most about n * 1.1e-16 of its size,
+# so the allowance is n * 2.2e-16 where that is larger (n above 45,000); the
+# terms the evaluator drops lower A' by under 1e-20 of its weights' total
 _BOUND_SLACK = 1e-11
 # bisection steps per batched peeling_margin call. One round of the
 # asym_scan benchmark's s_of_r and check_margin_condition calls (one
@@ -133,8 +135,8 @@ def _rate_ratio(t, deriv):
 # golden-section steps of r_of_z's polish; each shrinks the bracket (two grid
 # cells) by 0.618, so 25 steps leave 6e-6 of it: 1e-9 wide at r_of_z's
 # default step. A smooth peak is flat to second order, so the value found is
-# then exact to rounding. lp_bounds' design check bounds the same kind of
-# ratio from above on every cell instead of searching for its peak
+# then exact to rounding. _ratio_bound bounds the same ratio from above on
+# every cell instead of searching for its peak
 _GOLDEN_STEPS = 25
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -169,11 +171,12 @@ def _taylor_cells(
     The cells have equal width kappa in -log(1 - t), hold at most
     _SCAN_CHUNK points each, and stop where they would span fewer than
     _TAYLOR_MIN_SPAN grid points (kappa (1 - t) < _TAYLOR_MIN_SPAN *
-    grid_step); None where no cell would span that many. Their bound falls
-    short of the margin by about kappa^3 (_taylor_open), so kappa^3 is half
-    of margin - refine_tol, margin being the last one the scan saw. kappa is
-    at most the scan's remaining width in -log(1 - t), without which a large
-    margin would give no cell at all.
+    grid_step); None where no cell would span that many. Their bound
+    (_taylor_open) clears a cell whose margin exceeds refine_tol by more
+    than about kappa^3, so kappa^3 is half of margin - refine_tol, margin
+    being the last one the scan saw. kappa is at most the scan's remaining
+    width in -log(1 - t), without which a large margin would give no cell
+    at all.
     """
     if n_pts - 1 - start < _TAYLOR_MIN_SPAN:
         return None
@@ -193,6 +196,44 @@ def _taylor_cells(
     return cuts[np.diff(cuts, prepend=-1) > 0]
 
 
+def _ratio_bound(
+    exponents: np.ndarray, weights: np.ndarray, a: np.ndarray, b: np.ndarray, shift: float = 0.0
+) -> np.ndarray:
+    """An upper bound of (shift - log(1 - t)) / A'(t) on each cell [a, b].
+
+    A'(t) = sum weights t^exponents has nonnegative coefficients, so on a
+    cell, with u = t - a, A'(t) >= L(u) and shift - log(1 - t) <= U(u) for
+        L(u) = A'(a) + A''(a) u + A'''(a) u^2 / 2,
+        U(u) = shift - log(1 - a) + u / (1 - a) + u^2 / (2 (1 - b)^2).
+    (U/L)' vanishes at the roots of a quadratic (the cubic terms cancel), so
+    the largest U/L on [0, b - a] lies at an end or at a root: a closed form
+    for all cells at once, from A', A'' and A''' at the ascending cell
+    starts (degree_dist._taylor_terms). Where U(0) = L(0) = 0 (a, shift and
+    A'(0) all 0) U/L tends to 1/A''(0) as u -> 0+, inf if A''(0) = 0 too.
+
+    The bound is raised by max(_BOUND_SLACK, n eps) of itself for n terms.
+    That relative allowance covers rounding: U and L sum nonnegative terms,
+    so neither loses digits to cancellation, and a root misplaced by delta
+    loses only O(delta^2) at an interior maximum.
+    """
+    l0, l1, l2 = _taylor_terms(exponents, weights, a)
+    l2 = 0.5 * l2
+    u0, u1, u2 = shift - np.log1p(-a), 1.0 / (1.0 - a), 0.5 / (1.0 - b) ** 2
+    # (U/L)' = 0 where c2 u^2 + c1 u + c0 = 0, at q / c2 and c0 / q below
+    c0, c1, c2 = u1 * l0 - u0 * l1, 2.0 * (u2 * l0 - u0 * l2), u2 * l1 - u1 * l2
+    h = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        best = u0 / l0
+        if math.isnan(best[0]):  # U(0) = L(0) = 0: the limit U'(0) / L'(0)
+            best[0] = u1[0] / l1[0]
+        # a root outside the cell moves to its nearer end, and a nan one (no
+        # real root) to its start; fmax skips the nan of a ratio 0/0
+        for u in (h, np.fmin(np.fmax(q / c2, 0.0), h), np.fmin(np.fmax(c0 / q, 0.0), h)):
+            np.fmax(best, (u0 + (u1 + u2 * u) * u) / (l0 + (l1 + l2 * u) * u), out=best)
+    return best * (1.0 + max(_BOUND_SLACK, exponents.size * np.finfo(float).eps))
+
+
 def _taylor_open(
     r: float,
     dist: DegreeDistribution,
@@ -200,33 +241,15 @@ def _taylor_open(
     hi: np.ndarray,
     grid_step: float,
     refine_tol: float,
-    slack: float,
 ) -> np.ndarray:
     """Whether each cell of grid points lo..hi-1 may hold a margin at or below refine_tol.
 
-    On the cell [a, b], with u = t - a, P' has nonnegative coefficients, so
-    r P'(t) >= r P'(a) + r P''(a) u + r P'''(a) u^2 / 2, and
-    log(1 - t) >= log(1 - a) - u / (1 - a) - u^2 / (2 (1 - b)^2): the margin
-    is at least c0 + c1 u + c2 u^2. A cell is clear where the least value of
-    that quadratic on [0, b - a], or the monotone bound r P'(a) + log(1 - b),
-    exceeds refine_tol by more than the rounding allowance of its terms'
-    sizes.
+    Where P' > 0 the margin exceeds refine_tol exactly when r exceeds
+    (refine_tol - log(1 - t)) / P'(t), so a cell is clear where r exceeds
+    _ratio_bound's bound of that ratio.
     """
     a, b = lo * grid_step, (hi - 1) * grid_step
-    d1, d2, d3 = (r * d for d in _taylor_terms(*dist._derivative_terms, a))
-    log_a, log_b = np.log1p(-a), np.log1p(-b)
-    inv_a, inv_b2 = 1.0 / (1.0 - a), 1.0 / (1.0 - b) ** 2
-    h = b - a
-    c0, c1, c2 = d1 + log_a, d2 - inv_a, 0.5 * (d3 - inv_b2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the least value on [0, h] lies at an end, or at the vertex -c1 / (2 c2)
-        inside = (c2 > 0.0) & (c1 < 0.0) & (c1 > -2.0 * c2 * h)
-        vertex = np.where(inside, c0 - 0.25 * c1 * c1 / c2, np.inf)
-    least = np.minimum(np.minimum(c0, c0 + (c1 + c2 * h) * h), vertex)
-    size = d1 - log_a + (d2 + inv_a) * h + 0.5 * (d3 + inv_b2) * h * h
-    clear = least > refine_tol + slack * size
-    clear |= d1 + log_b > refine_tol + slack * (d1 - log_b)
-    return ~clear
+    return ~(r > _ratio_bound(*dist._derivative_terms, a, b, refine_tol))
 
 
 def _crossing(
@@ -247,7 +270,6 @@ def _crossing(
     n_pts = int(round(1.0 / grid_step))
     weak, hit = [], None
     first_weak = math.inf  # least weak point above 0, tracked with settle
-    slack = max(_BOUND_SLACK, dist.degree_array.size * np.finfo(float).eps)
     start = 0  # first grid index of the next chunk
     cells = None  # bounds of the Taylor cells not yet bounded
     pending = np.empty(0, dtype=np.int64)  # points of open Taylor cells
@@ -260,7 +282,7 @@ def _crossing(
                 lo, hi = cells[:-1][:batch], cells[1:][:batch]
                 cells = cells[batch:] if cells.size > batch + 1 else None
                 batch *= 2
-                keep = _taylor_open(r, dist, lo, hi, grid_step, refine_tol, slack)
+                keep = _taylor_open(r, dist, lo, hi, grid_step, refine_tol)
                 lo, hi = lo[keep], hi[keep]
                 widths = hi - lo
                 starts = np.repeat(lo - np.cumsum(widths) + widths, widths)
@@ -330,10 +352,10 @@ def s_of_r(
     width refine_tol. Returns 1.0 if no grid point up to 1 - grid_step goes
     negative.
 
-    The scan leaves out the Taylor cells whose second-order lower bound of
-    the margin clears refine_tol; the bisection evaluates the 63 midpoints
-    of its next six steps in one call (module docstring). Neither changes
-    the result.
+    The scan leaves out the Taylor cells on which a second-order bound
+    keeps the margin above refine_tol; the bisection evaluates the 63
+    midpoints of its next six steps in one call (module docstring). Neither
+    changes the result at the default refine_tol.
     """
     return _crossing(r, dist, grid_step, refine_tol)[0]
 
@@ -365,10 +387,10 @@ def r_of_z(
 
     ts = _grid_closed(z, grid_step)
     # t = 0 gives origin_limit; the grid maximum is polished between its
-    # neighbours by scalar golden-section search, not by lp_bounds' cell
-    # bound: the benchmark's asymptotics.polish_s (perfbench/tracing.py)
-    # times these scalar pgf_derivative calls, until the library has its own
-    # recorder (ROADMAP item 1)
+    # neighbours by scalar golden-section search, not by _ratio_bound, which
+    # bounds the supremum from above: the benchmark's asymptotics.polish_s
+    # (perfbench/tracing.py) times these scalar pgf_derivative calls, until
+    # the library has its own recorder (ROADMAP item 1)
     ratios = _rate_ratio(ts[1:], pgf_derivative(dist, ts[1:]))
     best = int(np.argmax(ratios)) + 1
     lo, hi = ts[best - 1], ts[min(best + 1, ts.size - 1)]

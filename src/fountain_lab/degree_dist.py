@@ -153,11 +153,14 @@ def _split(e_max: int) -> tuple[int, int]:
 
 def _flushed_powers(t: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """t^e for each t (rows) and e (columns), with 0 where t^e < exp(_FLUSH_LOG)."""
-    # t = 0 maps to a log below _FLUSH_LOG, so 0^0 = 1 stays and 0^e goes
-    log_t = np.log(np.maximum(t, 1e-300))
-    if not t.size or exponents[-1] * log_t.min() > _FLUSH_LOG:
+    # 0^e underflows nothing, so the positive t alone decide the path
+    t_min = float(t.min()) if t.size else 1.0
+    if t_min == 0.0:
+        t_min = float(t.min(initial=1.0, where=t > 0.0))
+    if exponents[-1] * math.log(t_min) > _FLUSH_LOG:
         return np.power.outer(t, exponents)
-    keep = np.multiply.outer(log_t, exponents) > _FLUSH_LOG
+    # t = 0 maps to a log below _FLUSH_LOG, so 0^0 = 1 stays and 0^e goes
+    keep = np.multiply.outer(np.log(np.maximum(t, 1e-300)), exponents) > _FLUSH_LOG
     return np.power(t[:, None], exponents, out=np.zeros(keep.shape), where=keep)
 
 

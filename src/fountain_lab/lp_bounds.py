@@ -16,9 +16,9 @@ brackets the least achievable rate r(z) over all degree distributions:
   with a(i) = y(i)/i and A(t) = sum a(i) t^i. That design is inflated by
   an upper bound on -log(1-t)/A'(t) over all of (0, z], proved cell by cell
   in closed form from a Taylor bound of each side, so the reported rate is
-  achievable on the continuum, not just on the grid. A', A'' and A''' at
-  the cell starts come from one stacked power sum, by the evaluator of the
-  asymptotic scan's Taylor cells.
+  achievable on the continuum, not just on the grid. That bound is
+  asymptotics._ratio_bound, by which the asymptotic scan clears its Taylor
+  cells.
 
 The LP is solved by column generation, an exchange method for the
 semi-infinite LP behind it (Hettich & Kortanek, SIAM Review 35, 1993): a
@@ -44,8 +44,8 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from . import CSV_FLOAT
-from .asymptotics import _BOUND_SLACK, _grid_closed
-from .degree_dist import DegreeDistribution, _power_sum, _taylor_terms, max_useful_degree
+from .asymptotics import _grid_closed, _ratio_bound
+from .degree_dist import DegreeDistribution, _power_sum, max_useful_degree
 
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-9
@@ -317,44 +317,16 @@ _CELL_WIDTH = 7.5e-4
 def _worst_ratio(z: float, y: np.ndarray) -> float:
     """An upper bound on -log(1-t)/A'(t) over (0, z], where A'(t) = sum y(i) t^(i-1).
 
-    A' has nonnegative coefficients, so on a cell [a, b], with u = t - a,
-        A'(t)       >= A'(a) + A''(a) u + A'''(a) u^2 / 2 = L(u),
-        -log(1 - t) <= -log(1 - a) + u / (1 - a) + u^2 / (2 (1 - b)^2) = U(u).
-    The derivative of U/L vanishes at the roots of a quadratic (the cubic
-    terms cancel), so the largest U/L on [0, b - a] lies at an end or at one
-    of those roots: a closed form for all cells at once, from A', A'' and
-    A''' at the cell starts (degree_dist._taylor_terms, one stacked power
-    sum). The maximum over the cells, inflated by the rounding allowance of
-    asymptotics' scan bound, bounds the ratio on all of (0, z]. Where
-    A'(0) = 0 the first cell's ratio is (U(u)/u) / (L(u)/u), monotone in u,
-    with the value 1/A''(0) at t -> 0+; it is inf if A''(0) = 0 too, as it
-    is without any nonzero y(i).
+    The largest of asymptotics._ratio_bound's closed-form bounds on cells
+    of equal width _CELL_WIDTH in -log(1 - t) from 0 to z, over the nonzero
+    prices alone; inf without any.
     """
     priced = np.flatnonzero(y)
     if not priced.size:
         return math.inf
     ends = -np.expm1(-_CELL_WIDTH * np.arange(math.ceil(-math.log1p(-z) / _CELL_WIDTH)))
     ends = np.append(ends[ends < z], z)
-    a, b = ends[:-1], ends[1:]
-    # A', A'' and A''' at the cell starts. The terms _power_sum drops are
-    # nonnegative, so they come out low, which only raises U/L: the safe side
-    l0, l1, l2 = _taylor_terms(priced, y[priced], a)
-    l2 = 0.5 * l2
-    u0, u1, u2 = -np.log1p(-a), 1.0 / (1.0 - a), 0.5 / (1.0 - b) ** 2
-    # (U/L)' = 0 where c2 u^2 + c1 u + c0 = 0, at q / c2 and c0 / q below
-    c0, c1, c2 = u1 * l0 - u0 * l1, 2.0 * (u2 * l0 - u0 * l2), u2 * l1 - u1 * l2
-    h = b - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
-        # a root outside the cell moves to its nearer end; without a real
-        # root the ratio is nan, which nanmax skips
-        us = [h, np.clip(q / c2, 0.0, h), np.clip(c0 / q, 0.0, h)]
-        ratios = [u0 / l0] + [(u0 + (u1 + u2 * u) * u) / (l0 + (l1 + l2 * u) * u) for u in us]
-        if l0[0] == 0.0:  # U(0) = L(0) = 0 at t = 0: the limit 1/A''(0)
-            ratios[0][0] = 1.0 / l1[0]
-    best = float(np.nanmax(ratios))
-    slack = max(_BOUND_SLACK, priced.size * np.finfo(float).eps)
-    return best * (1.0 + slack)
+    return float(np.max(_ratio_bound(priced, y[priced], ends[:-1], ends[1:])))
 
 
 def primal_min_r(
@@ -369,9 +341,9 @@ def primal_min_r(
     at z = 1/2, m = 1 and the design is all degree 1, as
     optimal_distribution documents. Because the grid leaves out the points
     between its own, the design is scaled up by an upper bound on
-    -log(1-t)/A'(t) over all of (0, z] (see _worst_ratio), which makes it
-    feasible on the whole interval, and at least to the certified lower
-    bound.
+    -log(1-t)/A'(t) over all of (0, z] (_worst_ratio, the largest of
+    asymptotics._ratio_bound's cell bounds), which makes it feasible on the
+    whole interval, and at least to the certified lower bound.
 
     Returns (distribution with P(i) = a(i)/r, r = sum a(i)).
     """

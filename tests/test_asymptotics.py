@@ -497,8 +497,8 @@ def taylor_batches(monkeypatch):
     """Each batch of Taylor cells a scan bounds, with the cells left open."""
     seen = []
 
-    def spy(r, dist, lo, hi, grid_step, refine_tol, slack, inner=asymptotics._taylor_open):
-        keep = inner(r, dist, lo, hi, grid_step, refine_tol, slack)
+    def spy(r, dist, lo, hi, grid_step, refine_tol, inner=asymptotics._taylor_open):
+        keep = inner(r, dist, lo, hi, grid_step, refine_tol)
         seen.append((r, dist, lo, hi, grid_step, refine_tol, keep))
         return keep
 
@@ -529,6 +529,12 @@ def test_taylor_cells_skip_only_clear_cells(big_dists, taylor_batches):
     assert skipped > 1_000
 
 
+def least_margins(r, dist, lo, hi, grid_step):
+    """The least margin on the grid points of each cell lo..hi-1."""
+    return np.array([np.min(peeling_margin(np.arange(a, b) * grid_step, r, dist))
+                     for a, b in zip(lo, hi)])
+
+
 def test_taylor_bound_lies_below_every_grid_margin():
     # with refine_tol set to each cell's least margin on the grid, a sound
     # lower bound cannot clear the cell: every cell must stay open
@@ -538,14 +544,26 @@ def test_taylor_bound_lies_below_every_grid_margin():
     for seed in range(8):
         dist = random_distribution(np.random.default_rng(seed))
         cases += [(float(r), dist) for r in rng.uniform(0.2, 2.0, 3)]
+    # cells next to t = 1, where cells are widest and 1 / (1 - b)^2 largest:
+    # cells ending at the last grid point, at grids 1e-4 and 1e-5, and cells
+    # anywhere on the 1e-5 grid
+    wide = np.random.default_rng(12)
     for r, dist in cases:
         lo = np.sort(rng.integers(1, 9_000, 60))
         hi = lo + rng.integers(2, 512, 60)
-        least = np.array([np.min(peeling_margin(np.arange(a, b) * 1e-4, r, dist))
-                          for a, b in zip(lo, hi)])
-        slack = max(asymptotics._BOUND_SLACK, dist.degree_array.size * np.finfo(float).eps)
-        keep = asymptotics._taylor_open(r, dist, lo, hi, 1e-4, least, slack)
+        least = least_margins(r, dist, lo, hi, 1e-4)
+        keep = asymptotics._taylor_open(r, dist, lo, hi, 1e-4, least)
         assert np.all(keep), (r, dist.label)
+        for grid_step in (1e-4, 1e-5):
+            n_pts = round(1.0 / grid_step)
+            lo = np.sort(n_pts - wide.integers(2, 512, 20))
+            hi = np.full(lo.size, n_pts)
+            if grid_step == 1e-5:
+                inner = np.sort(wide.integers(1, n_pts - 512, 40))
+                lo, hi = np.append(inner, lo), np.append(inner + wide.integers(2, 512, 40), hi)
+            least = least_margins(r, dist, lo, hi, grid_step)
+            keep = asymptotics._taylor_open(r, dist, lo, hi, grid_step, least)
+            assert np.all(keep), (r, dist.label, grid_step)
 
 
 def test_margin_condition_keeps_weak_points_next_to_the_crossing():

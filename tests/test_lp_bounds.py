@@ -7,12 +7,18 @@ import pytest
 
 from fountain_lab import (
     BoundRow,
+    DegreeDistribution,
     dual_outer_bound,
     dual_outer_bound_details,
+    ideal_soliton,
     max_useful_degree,
     outer_bound_curve,
     pgf_derivative,
     primal_min_r,
+    r_of_z,
+    raptor_omega,
+    robust_soliton,
+    s_of_r,
     truncated_soliton,
 )
 from fountain_lab import degree_dist, lp_bounds
@@ -448,6 +454,24 @@ def test_design_check_bounds_the_dense_maximum(step):
         y = np.clip(_solve_moment_lp(z, step)[3], 0.0, None)
         dense = dense_max_ratio(z, y)
         assert dense <= _worst_ratio(z, y) <= dense * (1.0 + 1e-8), (z, step)
+
+
+def test_design_check_bounds_r_of_z_of_a_distribution():
+    # with y(d) = d P(d) at exponent d - 1, A' is P' and the design check
+    # bounds the supremum that r_of_z finds on its grid; the scan of s_of_r
+    # then reaches z at that rate
+    dists = [ideal_soliton(10**4), robust_soliton(10**4, 0.1, 0.5), raptor_omega(0.5),
+             raptor_omega(0.05), DegreeDistribution.from_mapping({1: 0.3, 2: 0.5, 40: 0.2}),
+             DegreeDistribution.from_mapping({1: 1.0}), DegreeDistribution.from_mapping({2: 1.0}),
+             DegreeDistribution.from_mapping({1: 0.5, 10**4: 0.5})]
+    dists += [truncated_soliton(z).distribution for z in (0.7, 0.8, 0.9, 0.99)]
+    for dist in dists:
+        y = np.zeros(dist.max_degree)
+        y[dist.degree_array - 1] = dist.degree_array * dist.mass_array
+        for z in (0.25, 0.5, 0.9, 0.99, 0.999):
+            rate, bound = r_of_z(z, dist), _worst_ratio(z, y)
+            assert rate <= bound <= rate * (1.0 + 1e-6), (dist.label, z)
+            assert s_of_r(bound, dist) >= z, (dist.label, z)
 
 
 def test_design_check_near_zero():
