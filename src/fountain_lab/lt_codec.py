@@ -30,7 +30,10 @@ seed and embarrassingly parallel across symbols. Degrees come from
 inverse-CDF sampling; subsets from a partial Fisher-Yates shuffle with
 rejection-sampled (exactly uniform) index draws. SplitMix64 is counter-based
 (draw t of symbol i is mix64(seed_i + t * gamma)), so `sample_graph` computes
-the draws of a whole block of symbols as one numpy uint64 expression.
+the seeds and degrees of all symbols as one numpy uint64 expression, then the
+index draws of a whole block of symbols. Each block sorts keys sized to it:
+a step takes the bits of the block's own largest degree, and a key is int32
+wherever the block's rows*k, shifted by those bits, stays below 2**31.
 """
 
 from __future__ import annotations
@@ -189,35 +192,41 @@ def _rejected(draws: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _fisher_yates(
     base: np.ndarray, step: np.ndarray, pick: np.ndarray, row_start: np.ndarray,
-    k: int, width: int,
+    k: int, bits: int,
 ) -> np.ndarray:
     """Value each partial Fisher-Yates step takes, for all rows at once.
 
     Edge (row, step) swaps position step with position pick >= step.
     Before step t, position p holds p itself, unless an earlier step h of
     the same row picked p; then it holds what position h held before step h.
-    Each key packs (row, position, step) as (row*k + position)*width + step,
-    where base = row*k, and the keys are distinct. So the latest earlier step
-    that picked the same position is an edge's predecessor in the sorted
-    keys: one comparison of neighbours finds them all, and the edge is read
-    back from its key as row_start[row] + step. Only the few chains that go
-    on (position h asked about before step h) need a searchsorted each step.
+    Each key packs (row, position, step) as (row*k + position) << bits | step,
+    where base = row*k and every step is below 2**bits, and the keys are
+    distinct; they are int32 while rows*k << bits < 2**31. So the latest
+    earlier step that picked the same position is an edge's predecessor in
+    the sorted keys: one comparison of neighbours finds them all, and the
+    edge is read back from its key as row_start[row] + step. Only the few
+    chains that go on (position h asked about before step h) need a
+    searchsorted each step.
     """
-    keys = (base + pick) * width + step
-    order = np.sort(keys)
+    mask = (1 << bits) - 1
+    key = np.int32 if (row_start.size * k) << bits < 2**31 else np.int64
+    keys = (base + pick).astype(key, copy=False)
+    keys <<= bits
+    keys |= step
+    keys.sort()
     value = pick.copy()
-    slot = order // width  # row*k + position
+    slot = keys >> bits  # row*k + position
     pair = np.flatnonzero(slot[1:] == slot[:-1])  # keys pair and pair+1 share a slot
-    live = row_start[slot[pair] // k] + order[pair + 1] % width
-    h = order[pair] % width
+    live = row_start[slot[pair] // k] + (keys[pair + 1] & mask)
+    h = keys[pair] & mask
     while live.size:
         value[live] = h
-        query = (base[live] + h) * width + h
-        i = np.searchsorted(order, query) - 1
-        prev = order[i]
-        hit = (i >= 0) & (prev // width == query // width)
+        query = (base[live] + h) << bits | h
+        i = np.searchsorted(keys, query) - 1
+        prev = keys[i]
+        hit = (i >= 0) & (prev >> bits == query >> bits)
         live = live[hit]
-        h = prev[hit] % width
+        h = prev[hit] & mask
     return value
 
 
@@ -234,34 +243,34 @@ def _replay_row(stream_seed: int, k: int, degree: int) -> list[int]:
     return sorted(chosen)
 
 
-def _sample_block(
-    cdf: np.ndarray, degrees: np.ndarray, k: int, width: int, seed: int,
-    start: int, stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees and row-major sorted neighbors of symbols start..stop-1."""
-    gamma = np.uint64(_GOLDEN)
-    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    seeds = _mix64_array(np.uint64(seed & _MASK64) + index * gamma)
-    u = (_mix64_array(seeds + gamma) >> np.uint64(11)).astype(np.float64)
-    deg = degrees[np.searchsorted(cdf, u * (1.0 / (1 << 53)), side="left")]
+def _sample_block(seeds: np.ndarray, deg: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Writes the row-major sorted neighbors of one block of symbols to out.
 
-    row_start = np.add.accumulate(deg) - deg
-    row = np.repeat(np.arange(deg.size), deg)
-    step = np.arange(row.size) - row_start[row]
+    The edge arrays are int32 while rows*k < 2**31, and each step takes the
+    bits of the block's own largest degree in the Fisher-Yates keys.
+    """
+    edge = np.int32 if deg.size * k < 2**31 else np.int64
+    row_start = (np.add.accumulate(deg) - deg).astype(edge)
+    base = np.repeat(np.arange(0, deg.size * k, k, dtype=edge), deg)  # row*k
+    step = np.arange(out.size, dtype=edge)
+    step -= np.repeat(row_start, deg)
     m = (k - step).astype(np.uint64)
-    draws = _mix64_array(seeds[row] + (step + 2).astype(np.uint64) * gamma)
-    pick = step + (draws % m).astype(np.int64)
+    draws = (step + 2).astype(np.uint64)
+    draws *= np.uint64(_GOLDEN)
+    draws += np.repeat(seeds, deg)
+    draws = _mix64_array(draws)
+    pick = (draws % m).astype(edge)
+    pick += step
 
-    base = row * k
-    chosen = base + _fisher_yates(base, step, pick, row_start, k, width)
+    chosen = _fisher_yates(base, step, pick, row_start, k, (int(deg.max()) - 1).bit_length())
+    chosen += base
     chosen.sort()
-    neighbors = chosen - base
+    np.subtract(chosen, base, out=out)
     # randbelow(m) rejects only draws >= 2**64 - (2**64 mod m) > 2**64 - k
     near = np.flatnonzero(draws > np.uint64(2**64 - k))
-    for r in set(row[near[_rejected(draws[near], m[near])]].tolist()):
+    for r in set((base[near[_rejected(draws[near], m[near])]] // k).tolist()):
         a, d = int(row_start[r]), int(deg[r])
-        neighbors[a : a + d] = _replay_row(int(seeds[r]), k, d)
-    return deg, neighbors
+        out[a : a + d] = _replay_row(int(seeds[r]), k, d)
 
 
 def sample_graph(
@@ -273,8 +282,10 @@ def sample_graph(
     neighbors[offsets[i]:offsets[i+1]], sorted. Draw t of symbol i is
     mix64(symbol_stream_seed(seed, i) + t*gamma), the t-th output of its
     SplitMix64 stream: t = 1 picks the degree by inverse CDF, t = j+2 the
-    j-th partial Fisher-Yates index, with rejection as in randbelow. All
-    symbols of a block draw at once; the rare row with a rejected draw is
+    j-th partial Fisher-Yates index, with rejection as in randbelow. The
+    stream seeds and degrees of all symbols come in one pass, which sizes
+    both arrays; then each block of symbols draws its subsets at once into
+    its slice of neighbors, and the rare row with a rejected draw is
     replayed one draw at a time. `encode` draws its graph here, then XORs
     the payloads one block of rows at a time.
     """
@@ -286,19 +297,19 @@ def sample_graph(
         raise ValueError(
             f"distribution support (max degree {dist.max_degree}) exceeds k={k}"
         )
-    cdf = _degree_cdf(dist)
-    width = dist.max_degree
-    # the packed (row, position, step) keys must fit in an int64
-    rows = max(1, min(_BLOCK, _KEY_LIMIT // (k * width)))
-    degrees = [np.empty(0, dtype=np.int64)]
-    neighbors = [np.empty(0, dtype=np.int64)]
-    for a in range(0, n, rows):
-        deg, nb = _sample_block(cdf, dist.degree_array, k, width, seed, a, min(n, a + rows))
-        degrees.append(deg)
-        neighbors.append(nb)
+    gamma = np.uint64(_GOLDEN)
+    seeds = _mix64_array(np.uint64(seed & _MASK64) + np.arange(1, n + 1, dtype=np.uint64) * gamma)
+    u = (_mix64_array(seeds + gamma) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    degrees = dist.degree_array[np.searchsorted(_degree_cdf(dist), u, side="left")]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.accumulate(np.concatenate(degrees), out=offsets[1:])
-    return offsets, np.concatenate(neighbors)
+    np.add.accumulate(degrees, out=offsets[1:])
+    neighbors = np.empty(int(offsets[-1]), dtype=np.int64)
+    # the packed (row, position, step) keys must fit in an int64
+    rows = max(1, min(_BLOCK, _KEY_LIMIT // (k << (dist.max_degree - 1).bit_length())))
+    for a in range(0, n, rows):
+        b = min(n, a + rows)
+        _sample_block(seeds[a:b], degrees[a:b], k, neighbors[offsets[a] : offsets[b]])
+    return offsets, neighbors
 
 
 def _check_graph(offsets: np.ndarray, neighbors: np.ndarray, payload: np.ndarray) -> None:
@@ -363,11 +374,11 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
     input*n + symbol, int32 while k*n < 2**31: the order of a stable argsort
     of neighbors, at a fraction of its cost. Beside its residual degree each
     symbol keeps the sum of its undecoded neighbours, so a degree-one
-    symbol's sum is its lone input, read without gathering its row.
+    symbol's sum is its lone input, read without gathering its row. Each
+    input keeps the symbol that released it, which is also the decoded mask.
     """
     residual = np.diff(offsets)
     n = residual.size
-    decoded = np.zeros(k, dtype=bool)
     counts = np.bincount(neighbors, minlength=k)
     input_offsets = np.zeros(k + 1, dtype=np.int64)
     np.add.accumulate(counts, out=input_offsets[1:])
@@ -380,7 +391,9 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
     by_input -= np.repeat(np.arange(k, dtype=key) * key(n), counts)
     # the sum of each symbol's undecoded neighbours; below k**2, so no overflow
     lone = np.add.reduceat(neighbors, offsets[:-1]) if n else np.zeros(0, dtype=np.int64)
-    first = np.full(k, n, dtype=np.int64)  # the lowest ripple symbol per input
+    # the symbol that released each input, n while it is undecoded; a round
+    # releases every input its ripple holds, so no entry is set twice
+    first = np.full(k, n, dtype=np.int64)
     marked = np.zeros(n, dtype=bool)
     rounds, removals = [], 0
     ripple = np.flatnonzero(residual == 1)
@@ -389,8 +402,6 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
         np.minimum.at(first, held, ripple)
         inputs = np.sort(held[first[held] == ripple])
         rounds.append((first[inputs], inputs))
-        first[inputs] = n
-        decoded[inputs] = True
         touched = by_input[_row_edges(input_offsets, inputs)[0]]
         removals += touched.size
         np.subtract.at(residual, touched, 1)
@@ -398,7 +409,7 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
         marked[touched[residual[touched] == 1]] = True
         ripple = np.flatnonzero(marked)
         marked[ripple] = False
-    return decoded, rounds, residual, removals
+    return first < n, rounds, residual, removals
 
 
 class DecoderState:

@@ -31,7 +31,7 @@ from .lt_codec import decode, encode, mix64
 RECEIVE_MODELS = ("deterministic_n", "poisson_n")
 
 # cap on n = r*k, the coded symbols of one trial; a trial's inputs, CSR
-# graph, payload matrix and decoder arrays peak at about 0.48 kB per symbol
+# graph, payload matrix and decoder arrays peak at about 0.49 kB per symbol
 # at mean degree 19 (robust_soliton(10**5, 0.1, 0.5), k = 10**5, r = 1.3,
 # traced with tracemalloc), so a trial at the cap takes about 0.5 GB
 MAX_SYMBOLS = 10**6

@@ -317,6 +317,66 @@ def test_sample_graph_long_swap_chains(monkeypatch, block):
     assert max(chains) >= 3
 
 
+@pytest.mark.parametrize("block", [1024, 3])
+@pytest.mark.parametrize("mapping", [
+    {8: 1.0}, {9: 1.0},  # a step takes 3 bits, then 4
+    {1: 0.5, 16: 0.5}, {2: 0.5, 17: 0.5},
+    {1: 1.0},  # no step bits at all
+])
+def test_sample_graph_step_bits(monkeypatch, block, mapping):
+    # each block keeps a step in the bits of its own largest degree; k = 18
+    # makes the rows collide and chain through their swaps
+    monkeypatch.setattr(lt_codec, "_BLOCK", block)
+    dist, k, n = DegreeDistribution.from_mapping(mapping), 18, 40
+    for seed in range(4):
+        got = csr_rows(*sample_graph(dist, k, n, seed))
+        assert got == scalar_graph(dist, k, n, seed), (mapping, seed)
+
+
+# (block rows, k, distribution, seed, the block's top key): the Fisher-Yates
+# keys (row*k + position) << bits | step, with bits = 10 for degree 1000, and
+# the sorted row*k + value keys each land just below 2**31 and just above it.
+# Each seed gives the block's last row the keys named.
+KEY_EDGES = {
+    # the last row has degree k = 1000, a full permutation, so its last step
+    # swaps position k-1 with itself: the top key is (rows*k - 1) << 10 | 999
+    "fisher_yates_below": (2097, 1000, {1: 0.99, 1000: 0.01}, 44, (2097_000 << 10) - 25),
+    "fisher_yates_above": (2098, 1000, {1: 0.99, 1000: 0.01}, 128, (2098_000 << 10) - 25),
+    # k*2 against 2**31: the top key is k + the last row's largest input
+    "sorted_rows_below": (2, 2**30 - 2**17, {1: 0.5, 64: 0.5}, 205, 2**31 - 664_368),
+    "sorted_rows_above": (2, 2**30 + 2**17, {1: 0.5, 64: 0.5}, 105, 2**31 + 222_656),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_EDGES))
+def test_sample_graph_keys_at_the_int32_edge(monkeypatch, case):
+    rows, k, mapping, seed, top = KEY_EDGES[case]
+    monkeypatch.setattr(lt_codec, "_BLOCK", rows)
+    dist = DegreeDistribution.from_mapping(mapping)
+    want = scalar_graph(dist, k, rows, seed)
+    last = want[-1]
+    if case.startswith("fisher_yates"):
+        assert len(last) == k and top == ((rows * k - 1) << 10 | k - 1)
+    else:
+        assert top == (rows - 1) * k + last[-1]
+    assert abs(top - 2**31) < 2**20
+    assert csr_rows(*sample_graph(dist, k, rows, seed)) == want
+
+
+def test_sample_graph_peak_memory():
+    # the degrees size the CSR arrays before any subset is drawn, so no
+    # block's neighbors wait in a list to be joined at the end
+    dist, k, n = robust_soliton(10**5, 0.1, 0.5), 10**5, 130_000
+    sample_graph(dist, k, 10, 1)
+    tracemalloc.start()
+    try:
+        offsets, neighbors = sample_graph(dist, k, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * (offsets.nbytes + neighbors.nbytes)
+
+
 def test_sample_graph_validation():
     with pytest.raises(ValueError):
         sample_graph(DEG1, 0, 1, 0)
