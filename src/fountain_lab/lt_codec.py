@@ -6,14 +6,14 @@ their payloads. Decoding: repeatedly take a symbol whose residual degree is
 one, recover its remaining input, and cancel that input out of every other
 symbol containing it; stop when no degree-one symbols remain. `peel` does
 this round-parallel on the CSR graph: each round releases every degree-one
-symbol at once, one per input. It finds the symbols at each input by one
-sort of packed input*n + symbol keys, and keeps each symbol's sum of
-undecoded neighbours, which for a degree-one symbol is its lone input; so a
-round costs numpy calls over the edges it removes, not over the ripple's
-rows. The order does not change the result: the
-inputs left unrecovered form the largest stopping set of the received graph,
-which is the same for every release order (Di, Proietti, Telatar, Richardson
-& Urbanke, IEEE Trans. IT 48, 2002), and when each payload is the XOR of its
+symbol at once, one per input, at a cost in numpy calls over the edges it
+removes. A ripple is always the symbols of residual degree one, so each
+next ripple is read off the residual degrees: a round decodes the lone input
+of every ripple symbol, dropping each to zero, and changes only the symbols
+it touches. The order does not change the result: the inputs left
+unrecovered form the largest stopping set of the received graph, which is
+the same for every release order (Di, Proietti, Telatar, Richardson &
+Urbanke, IEEE Trans. IT 48, 2002), and when each payload is the XOR of its
 inputs, each recovered value is that input.
 
 Coded symbols travel as `CodedSymbols`: one read-only CSR graph (offsets,
@@ -31,9 +31,7 @@ inverse-CDF sampling; subsets from a partial Fisher-Yates shuffle with
 rejection-sampled (exactly uniform) index draws. SplitMix64 is counter-based
 (draw t of symbol i is mix64(seed_i + t * gamma)), so `sample_graph` computes
 the seeds and degrees of all symbols as one numpy uint64 expression, then the
-index draws of a whole block of symbols. Each block sorts keys sized to it:
-a step takes the bits of the block's own largest degree, and a key is int32
-wherever the block's rows*k, shifted by those bits, stays below 2**31.
+index draws of a whole block of symbols, on keys sized to the block.
 """
 
 from __future__ import annotations
@@ -286,8 +284,7 @@ def sample_graph(
     stream seeds and degrees of all symbols come in one pass, which sizes
     both arrays; then each block of symbols draws its subsets at once into
     its slice of neighbors, and the rare row with a rejected draw is
-    replayed one draw at a time. `encode` draws its graph here, then XORs
-    the payloads one block of rows at a time.
+    replayed one draw at a time.
     """
     if k < 1:
         raise ValueError("need at least one input packet")
@@ -318,11 +315,11 @@ def _check_graph(offsets: np.ndarray, neighbors: np.ndarray, payload: np.ndarray
         raise ValueError("offsets must be 1-D, start at 0 and end at the neighbor count")
     if payload.ndim != 2 or payload.shape[0] != offsets.size - 1:
         raise ValueError("payload needs one row per coded symbol")
-    if np.any(np.diff(offsets) < 1):
+    if np.any(offsets[1:] <= offsets[:-1]):
         raise ValueError("a coded symbol needs at least one neighbor")
-    gaps = np.diff(neighbors)
-    gaps[offsets[1:-1] - 1] = 1  # a row may start below where the last ended
-    if np.any(gaps <= 0):
+    unsorted = neighbors[1:] <= neighbors[:-1]
+    unsorted[offsets[1:-1] - 1] = False  # a row may start below where the last ended
+    if np.any(unsorted):
         raise ValueError("neighbors must be sorted and distinct")
     if neighbors.size and neighbors.min() < 0:
         raise ValueError("neighbor indices must be nonnegative")
@@ -334,7 +331,10 @@ def encode(
     n: int,
     rng_seed: int,
 ) -> CodedSymbols:
-    """Generate n coded symbols from k input packets; deterministic in rng_seed."""
+    """Generate n coded symbols from k input packets; deterministic in rng_seed.
+
+    Rows are XORed block by block, so each `np.take(..., axis=0)` gather stays small.
+    """
     k = len(inputs)
     if k < 1:
         raise ValueError("need at least one input packet")
@@ -344,11 +344,10 @@ def encode(
     offsets, neighbors = sample_graph(dist, k, n, rng_seed)
     data = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(k, size)
     payload = np.empty((n, size), dtype=np.uint8)
-    # one block of rows at a time, so the gather data[...] stays small
     for a in range(0, n, _BLOCK):
         bounds = offsets[a : a + _BLOCK + 1]
-        np.bitwise_xor.reduceat(data[neighbors[bounds[0] : bounds[-1]]], bounds[:-1] - bounds[0],
-                                axis=0, out=payload[a : a + _BLOCK])
+        np.bitwise_xor.reduceat(np.take(data, neighbors[bounds[0] : bounds[-1]], axis=0),
+                                bounds[:-1] - bounds[0], axis=0, out=payload[a : a + _BLOCK])
     return CodedSymbols(offsets, neighbors, payload)
 
 
@@ -376,6 +375,9 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
     symbol keeps the sum of its undecoded neighbours, so a degree-one
     symbol's sum is its lone input, read without gathering its row. Each
     input keeps the symbol that released it, which is also the decoded mask.
+    The ripple is the symbols of residual degree one at the first round, and
+    so at every round: a round releases every input its ripple holds, which
+    drops each ripple symbol to zero, and changes only the symbols it touches.
     """
     residual = np.diff(offsets)
     n = residual.size
@@ -391,10 +393,8 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
     by_input -= np.repeat(np.arange(k, dtype=key) * key(n), counts)
     # the sum of each symbol's undecoded neighbours; below k**2, so no overflow
     lone = np.add.reduceat(neighbors, offsets[:-1]) if n else np.zeros(0, dtype=np.int64)
-    # the symbol that released each input, n while it is undecoded; a round
-    # releases every input its ripple holds, so no entry is set twice
+    # the symbol that released each input, n while it is undecoded; no entry is set twice
     first = np.full(k, n, dtype=np.int64)
-    marked = np.zeros(n, dtype=bool)
     rounds, removals = [], 0
     ripple = np.flatnonzero(residual == 1)
     while ripple.size:
@@ -406,9 +406,7 @@ def peel(offsets: np.ndarray, neighbors: np.ndarray, k: int) -> tuple[
         removals += touched.size
         np.subtract.at(residual, touched, 1)
         np.subtract.at(lone, touched, np.repeat(inputs, counts[inputs]))
-        marked[touched[residual[touched] == 1]] = True
-        ripple = np.flatnonzero(marked)
-        marked[ripple] = False
+        ripple = np.flatnonzero(residual == 1)
     return first < n, rounds, residual, removals
 
 
@@ -418,6 +416,7 @@ class DecoderState:
     `run` peels (`peel`), then sets each round's released inputs to their
     symbols' payloads XOR the values of the symbols' other neighbours, which
     earlier rounds decoded; any release order leaves the same stopping set.
+    It gathers payload and value rows with `np.take(..., axis=0)`.
     """
 
     def __init__(self, symbols: CodedSymbols | Sequence[CodedSymbol], k: int) -> None:
@@ -444,13 +443,13 @@ class DecoderState:
         # the rows of all released symbols in one gather, sliced round by round
         released = np.concatenate([syms for syms, _ in rounds])
         edges, starts = _row_edges(self.offsets, released)
-        rows, payload = self.neighbors[edges], self.payload[released]
+        rows, payload = self.neighbors[edges], np.take(self.payload, released, axis=0)
         starts = np.append(starts, edges.size)
         a = 0
         for syms, inputs in rounds:
             b = a + syms.size
             first = starts[a]
-            others = np.bitwise_xor.reduceat(self.values[rows[first : starts[b]]],
+            others = np.bitwise_xor.reduceat(np.take(self.values, rows[first : starts[b]], axis=0),
                                              starts[a:b] - first, axis=0)
             self.values[inputs] = payload[a:b] ^ others
             a = b

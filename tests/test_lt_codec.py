@@ -479,6 +479,75 @@ def test_coded_symbols_checks_its_graph():
     assert neighbors.flags.writeable  # nothing was wrapped
 
 
+def diff_check_graph(offsets, neighbors, payload):
+    """The earlier `_check_graph`, on int64 `np.diff` arrays."""
+    if offsets.ndim != 1 or not offsets.size or offsets[0] != 0 or offsets[-1] != neighbors.size:
+        raise ValueError("offsets must be 1-D, start at 0 and end at the neighbor count")
+    if payload.ndim != 2 or payload.shape[0] != offsets.size - 1:
+        raise ValueError("payload needs one row per coded symbol")
+    if np.any(np.diff(offsets) < 1):
+        raise ValueError("a coded symbol needs at least one neighbor")
+    gaps = np.diff(neighbors)
+    gaps[offsets[1:-1] - 1] = 1  # a row may start below where the last ended
+    if np.any(gaps <= 0):
+        raise ValueError("neighbors must be sorted and distinct")
+    if neighbors.size and neighbors.min() < 0:
+        raise ValueError("neighbor indices must be nonnegative")
+
+
+def check_message(check, offsets, neighbors, payload):
+    try:
+        check(offsets, neighbors, payload)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def random_csr(rng):
+    """A small CSR graph, valid or broken by one of the neighbour rules."""
+    n = int(rng.integers(0, 7))
+    rows = [sorted(rng.choice(10, size=int(rng.integers(1, 5)), replace=False).tolist())
+            for _ in range(n)]
+    fault = rng.choice(["none", "empty", "equal", "descending", "negative"])
+    if n and fault == "empty":  # the first, a middle or the last row
+        rows[int(rng.choice([0, n // 2, n - 1]))] = []
+    long_rows = [row for row in rows if len(row) > 1]
+    if long_rows and fault in ("equal", "descending"):
+        row = long_rows[int(rng.integers(len(long_rows)))]
+        j = int(rng.integers(len(row) - 1))
+        if fault == "equal":
+            row[j + 1] = row[j]
+        else:
+            row[j], row[j + 1] = row[j + 1], row[j]
+    if n and fault == "negative":
+        row = rows[int(rng.integers(n))]
+        if row:
+            row[0] = -int(rng.integers(1, 4))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(row) for row in rows], dtype=np.int64)
+    neighbors = np.array([v for row in rows for v in row], dtype=np.int64)
+    return offsets, neighbors, np.zeros((n, 1), np.uint8)
+
+
+def test_graph_check_matches_diff_rule():
+    rng = np.random.default_rng(2028)
+    seen = Counter()
+    for _ in range(2000):
+        offsets, neighbors, payload = random_csr(rng)
+        want = check_message(diff_check_graph, offsets, neighbors, payload)
+        assert check_message(lt_codec._check_graph, offsets, neighbors, payload) == want
+        seen[want] += 1
+        if want is None:  # n = 0, and rows that start at or below where the last ended
+            restart = np.sign(neighbors[offsets[1:-1]] - neighbors[offsets[1:-1] - 1])
+            seen["n = 0"] += offsets.size == 1
+            seen["at"] += bool(np.any(restart == 0))
+            seen["below"] += bool(np.any(restart < 0))
+    assert set(seen) == {None, "a coded symbol needs at least one neighbor",
+                         "neighbors must be sorted and distinct",
+                         "neighbor indices must be nonnegative", "n = 0", "at", "below"}
+    assert all(seen.values()), seen
+
+
 # --- decoding ---
 
 def test_decode_hand_traced_chain():
@@ -616,6 +685,23 @@ def test_decode_values_are_input_bytes(nbytes):
                       for v, hit in enumerate(state.decoded.tolist())]
     assert all(type(v) is bytes and v == inputs[i] for i, v in enumerate(values) if v is not None)
     assert decode(encode(inputs, dist, 0, rng_seed=1), k) == ([None] * k, 0)
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 2, 5, 16, 64])
+def test_payload_rows_at_every_width(monkeypatch, nbytes):
+    # encode's and the back-substitution's row gathers, over many blocks and rounds
+    monkeypatch.setattr(lt_codec, "_BLOCK", 64)
+    rng = np.random.default_rng(70 + nbytes)
+    k = 1000
+    inputs = random_inputs(rng, k, nbytes)
+    symbols = encode(inputs, robust_soliton(k, 0.1, 0.5), 1300, rng_seed=nbytes)
+    assert symbols.payload.shape == (1300, nbytes)
+    for sym in symbols:
+        assert sym.payload == xor_payload(inputs, sym.neighbors)
+    rounds = lt_codec.peel(symbols.offsets, symbols.neighbors, k)[1]
+    values, count = decode(symbols, k)
+    assert len(rounds) >= 10 and count >= k // 2
+    assert all(v == inputs[i] for i, v in enumerate(values) if v is not None)
 
 
 def test_decode_order_independent():
@@ -765,6 +851,78 @@ def test_peel_matches_argsort_peel(case):
         offsets, neighbors = sample_graph(dist, k, n, seed)
         decoded, rounds, residual, removals = lt_codec.peel(offsets, neighbors, k)
         want = argsort_peel(offsets, neighbors, k)
+        assert np.array_equal(decoded, want[0]) and decoded.any()
+        assert len(rounds) == len(want[1])
+        for (syms, inputs), (want_syms, want_inputs) in zip(rounds, want[1]):
+            assert np.array_equal(syms, want_syms) and np.array_equal(inputs, want_inputs)
+        assert np.array_equal(residual, want[2])
+        assert removals == want[3]
+
+
+def marked_peel(offsets, neighbors, k):
+    """The earlier `peel`: each next ripple is the touched symbols left at degree one."""
+    residual = np.diff(offsets)
+    n = residual.size
+    counts = np.bincount(neighbors, minlength=k)
+    input_offsets = np.zeros(k + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=input_offsets[1:])
+    key = np.int32 if k * n < 2**31 else np.int64
+    by_input = neighbors.astype(key)
+    by_input *= n
+    by_input += np.repeat(np.arange(n, dtype=key), residual)
+    by_input.sort()
+    by_input -= np.repeat(np.arange(k, dtype=key) * key(n), counts)
+    lone = np.add.reduceat(neighbors, offsets[:-1]) if n else np.zeros(0, dtype=np.int64)
+    first = np.full(k, n, dtype=np.int64)
+    marked = np.zeros(n, dtype=bool)
+    rounds, removals = [], 0
+    ripple = np.flatnonzero(residual == 1)
+    while ripple.size:
+        held = lone[ripple]
+        np.minimum.at(first, held, ripple)
+        inputs = np.sort(held[first[held] == ripple])
+        rounds.append((first[inputs], inputs))
+        touched = by_input[lt_codec._row_edges(input_offsets, inputs)[0]]
+        removals += touched.size
+        np.subtract.at(residual, touched, 1)
+        np.subtract.at(lone, touched, np.repeat(inputs, counts[inputs]))
+        marked[touched[residual[touched] == 1]] = True
+        ripple = np.flatnonzero(marked)
+        marked[ripple] = False
+    return first < n, rounds, residual, removals
+
+
+# the six mc_trials cells at k = 10**4 as (distribution, r)
+MC_CELLS = {
+    "degree1_r0.2": (DEG1, 0.2),
+    "degree1_r0.5": (DEG1, 0.5),
+    "degree1_r0.8": (DEG1, 0.8),
+    "robust_r0.9": (_ROBUST, 0.9),
+    "robust_r1.3": (_ROBUST, 1.3),
+    "design0.75": (perturb(_DESIGN.distribution, 0.01), _DESIGN.a),
+}
+
+
+@pytest.mark.parametrize("model", sim_harness.RECEIVE_MODELS)
+@pytest.mark.parametrize("case", sorted(MC_CELLS))
+def test_peel_matches_marked_peel_on_mc_cells(monkeypatch, case, model):
+    dist, r = MC_CELLS[case]
+    graphs = []
+
+    def spy(symbols, k):
+        graphs.append((symbols.offsets, symbols.neighbors))
+        return decode(symbols, k)
+
+    monkeypatch.setattr(sim_harness, "decode", spy)
+    for base_seed in range(3):
+        config = sim_harness.SimulationConfig(distribution=dist, k=10_000, r_values=(r,),
+                                              trials=1, receive_model=model,
+                                              base_seed=base_seed)
+        sim_harness.run_trial(config, r, 0)
+    assert len(graphs) == 3
+    for offsets, neighbors in graphs:
+        decoded, rounds, residual, removals = lt_codec.peel(offsets, neighbors, 10_000)
+        want = marked_peel(offsets, neighbors, 10_000)
         assert np.array_equal(decoded, want[0]) and decoded.any()
         assert len(rounds) == len(want[1])
         for (syms, inputs), (want_syms, want_inputs) in zip(rounds, want[1]):
